@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.pipeline.ooo_core import OoOCore
-from repro.pipeline.rob import DynInstr
+from repro.pipeline.flat import FlatView
 
 #: The injectable fault-site classes, one per fingerprint input stream.
 TARGETS = ("result", "store_addr", "branch_target")
@@ -95,7 +95,7 @@ class FaultInjector:
         self._pending_once = self._count + after + 1
 
     # -- per-target eligibility and corruption ------------------------------
-    def _victim_value(self, entry: DynInstr) -> int | None:
+    def _victim_value(self, entry: FlatView) -> int | None:
         """The value this injector's target class would corrupt, if any."""
         target = self.target
         if target == "result":
@@ -109,7 +109,7 @@ class FaultInjector:
             return entry.actual_next
         return None
 
-    def _corrupt(self, entry: DynInstr, corrupted: int) -> None:
+    def _corrupt(self, entry: FlatView, corrupted: int) -> None:
         target = self.target
         if target == "result":
             entry.result = corrupted
@@ -118,7 +118,7 @@ class FaultInjector:
         else:
             entry.actual_next = corrupted
 
-    def _hook(self, entry: DynInstr) -> None:
+    def _hook(self, entry: FlatView) -> None:
         if entry.injected:
             return
         original = self._victim_value(entry)

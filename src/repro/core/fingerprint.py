@@ -22,7 +22,7 @@ try:  # numpy accelerates table construction and large batches; optional.
 except ImportError:  # pragma: no cover - the image ships numpy
     _np = None
 
-from repro.pipeline.rob import DynInstr
+from repro.pipeline.flat import FlatView
 
 
 def _make_crc_table(poly: int, bits: int) -> list[int]:
@@ -357,7 +357,7 @@ class FingerprintAccumulator:
         ) & self._mask
 
     # -- architectural updates -----------------------------------------------
-    def add_instruction(self, entry: DynInstr) -> None:
+    def add_instruction(self, entry: FlatView) -> None:
         """Fold in the architectural effects of one retired instruction.
 
         Logically the fingerprint captures all register updates, branch

@@ -31,33 +31,19 @@ possible shared-state access.  Other exits: an external interrupt being
 posted, a fault injector arming, a retire hook or tracer attaching, or
 replay being disabled (decoupling).
 
-Materialization is a deep, memo-ed copy of every mutable private field
-of the vocal core and its check gate onto the mute, cloning live
-:class:`DynInstr` objects so the two pipelines share no mutable state
-afterwards.  Under the flat hot loop (``REPRO_HOTLOOP=soa``) there are
-no entry objects to clone: in-flight state is plain column lists indexed
-by slot/packed ints, so materialization degenerates to copying the
-columns and containers verbatim — the copied refs resolve identically
-against the mute's copied columns.  The differential tests in
-``tests/sim/test_replay_exec.py`` diff every observable between replay
-and dual mode to keep this honest.
+Materialization copies every mutable private field of the vocal core
+and its check gate onto the mute.  In-flight state is plain column lists
+indexed by slot/packed ints, so there is no object graph to clone: the
+columns and containers are copied verbatim, and the copied refs resolve
+identically against the mute's copied columns.  The differential tests
+in ``tests/sim/test_replay_exec.py`` diff every observable between
+replay and dual mode to keep this honest.
 """
 
 from __future__ import annotations
 
-from repro.core.check_stage import CheckGate, IntervalRecord
+from repro.core.check_stage import CheckGate
 from repro.pipeline.ooo_core import OoOCore
-from repro.pipeline.rob import DynInstr
-
-#: DynInstr fields copied verbatim (everything except the entry-graph
-#: reference fields ``dependents``, ``wait_on`` and ``prev_producer``,
-#: fixed up in a second pass — copying them verbatim would alias the
-#: mute's graph into the vocal's live entries).
-_ENTRY_SCALARS = tuple(
-    s
-    for s in DynInstr.__slots__
-    if s not in ("dependents", "wait_on", "prev_producer")
-)
 
 #: OoOCore counters a mirror sync copies vocal -> mute.
 MIRRORED_COUNTERS = (
@@ -121,10 +107,7 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
             user_retired=vocal.user_retired,
         )
 
-    if vocal._soa:
-        _materialize_flat(vocal, mute)
-    else:
-        _materialize_object(vocal, mute)
+    _materialize_ring(vocal, mute)
 
     # -- frontend -------------------------------------------------------
     # Fetch-queue entries are immutable tuples: a shallow copy suffices.
@@ -146,58 +129,7 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
     mute._interrupts = type(vocal._interrupts)(vocal._interrupts)
 
 
-def _materialize_object(vocal: OoOCore, mute: OoOCore) -> None:
-    """Object-loop materialization: deep-clone the DynInstr graph."""
-    clones: dict[int, DynInstr] = {}
-    worklist: list[DynInstr] = []
-
-    def clone(entry):
-        if entry is None:
-            return None
-        copied = clones.get(id(entry))
-        if copied is None:
-            copied = DynInstr.__new__(DynInstr)
-            for name in _ENTRY_SCALARS:
-                setattr(copied, name, getattr(entry, name))
-            copied.dependents = []
-            copied.wait_on = None  # placeholders until the fixup pass
-            copied.prev_producer = None
-            clones[id(entry)] = copied
-            worklist.append(entry)
-        return copied
-
-    mute.rob = type(vocal.rob)(clone(e) for e in vocal.rob)
-    mute.ready = [clone(e) for e in vocal.ready]
-    mute.completions = [(t, s, clone(e)) for (t, s, e) in vocal.completions]
-    mute._store_entries = type(vocal._store_entries)(
-        clone(e) for e in vocal._store_entries
-    )
-    mute._ser_heap = [(s, clone(e)) for (s, e) in vocal._ser_heap]
-    mute.rename = {reg: clone(e) for reg, e in vocal.rename.items()}
-    mute.sync_request = clone(vocal.sync_request)
-    mute.resume_normal_after = clone(vocal.resume_normal_after)
-    mute._unchecked = type(vocal._unchecked)(
-        clone(e) for e in vocal._unchecked
-    )
-
-    # Wake-up lists may reference entries reachable nowhere else (e.g.
-    # squashed consumers): the worklist grows while we fix them up.
-    index = 0
-    while index < len(worklist):
-        original = worklist[index]
-        copied = clones[id(original)]
-        copied.dependents = [
-            (clone(dep), slot) for dep, slot in original.dependents
-        ]
-        copied.wait_on = clone(original.wait_on)
-        copied.prev_producer = clone(original.prev_producer)
-        index += 1
-
-    # -- check stage ----------------------------------------------------
-    _materialize_gate(vocal.gate, mute.gate, clone)
-
-
-#: Flat-ROB columns copied verbatim on materialization (``f_deps`` needs
+#: Ring columns copied verbatim on materialization (``f_deps`` needs
 #: a per-slot list copy and is handled separately).
 _FLAT_COLUMNS = (
     "f_seq",
@@ -216,21 +148,20 @@ _FLAT_COLUMNS = (
     "f_fill",
     "f_flags",
     "f_mask",
-    "f_ridx",
     "f_wo",
     "f_pp",
     "f_row",
 )
 
 
-def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
-    """Flat-loop materialization: copy columns and int-ref containers.
+def _materialize_ring(vocal: OoOCore, mute: OoOCore) -> None:
+    """Copy the ring columns and int-ref containers.
 
     Slot / packed refs carry no object identity — the verbatim-copied
     containers resolve against the mute's copied columns exactly as the
     originals do against the vocal's, so no clone pass is needed.  The
     ring geometry (capacity, shift, mask) is identical by construction:
-    both cores share one config and ``use_soa_hotloop`` call site.
+    both cores share one config.
     Columns are copied *in place* — the hot loop's ``_f_cols`` bundle
     and the FlatView singletons alias the list objects by identity.
     """
@@ -253,36 +184,15 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
         view = mute._f_views[sync_request._s]
         view._q = sync_request._q
         mute.sync_request = view
-    # In-window the vocal provably never entered re-execution, so this
-    # is always None; copied for symmetry with the object path.
-    mute.resume_normal_after = vocal.resume_normal_after
     _materialize_gate(vocal.gate, mute.gate)
 
 
-def _materialize_gate(
-    vocal_gate: CheckGate, mute_gate: CheckGate, clone=None
-) -> None:
-    if clone is None:
-        # Flat mode: _pending holds immutable (packed, index, offered)
-        # tuples over the columns copied above.
-        mute_gate._pending = type(vocal_gate._pending)(vocal_gate._pending)
-    else:
-        mute_gate._pending = type(vocal_gate._pending)(
-            (clone(entry), index, offered)
-            for entry, index, offered in vocal_gate._pending
-        )
-    mute_gate._closed = type(vocal_gate._closed)(
-        IntervalRecord(
-            index=r.index,
-            fingerprint=r.fingerprint,
-            count=r.count,
-            close_cycle=r.close_cycle,
-            serializing=r.serializing,
-            has_sync=r.has_sync,
-            has_halt=r.has_halt,
-        )
-        for r in vocal_gate._closed
-    )
+def _materialize_gate(vocal_gate: CheckGate, mute_gate: CheckGate) -> None:
+    # _pending holds (packed, index, offered) tuples over the columns
+    # copied above and _closed holds IntervalRecords: all immutable, so
+    # shallow container copies share nothing mutable.
+    mute_gate._pending = type(vocal_gate._pending)(vocal_gate._pending)
+    mute_gate._closed = type(vocal_gate._closed)(vocal_gate._closed)
     mute_gate._retire_time = dict(vocal_gate._retire_time)
     mute_gate._count = vocal_gate._count
     mute_gate.users_offered = vocal_gate.users_offered

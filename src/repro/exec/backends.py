@@ -215,6 +215,28 @@ class JsonShardBackend(CacheBackend):
         return sum(1 for _ in self.root.glob("??/*.json"))
 
 
+def _enable_wal(conn: sqlite3.Connection, timeout: float = 30.0) -> None:
+    """Switch a fresh store to WAL, tolerating a concurrent first open.
+
+    The journal-mode switch needs the database lock and reports
+    ``database is locked`` at once instead of waiting on the busy
+    handler, so two processes opening a brand-new store together can
+    fail here.  WAL is persistent: once any opener has switched the
+    file, the others find it already set and skip the switch.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+            if mode.lower() != "wal":
+                conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
 class SqliteBackend(CacheBackend):
     """All records in one ``<root>/cache.sqlite`` file, WAL mode.
 
@@ -252,7 +274,7 @@ class SqliteBackend(CacheBackend):
                     pass
             self.root.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.db_path, timeout=30.0, isolation_level=None)
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
             conn.execute(

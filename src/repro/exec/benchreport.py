@@ -676,34 +676,31 @@ def run_retire_gate_micro(
     """Time the retire-gate offer/pop path in isolation.
 
     The retire loop pops the gate every cycle it has work, so
-    ``pop_retirable`` overhead is pure per-retired-instruction tax.  This
-    micro drives the immediate gate (non-redundant retirement) and the
-    strict check gate (fingerprint close + self-compare + latency queue —
-    the full check-stage data path without needing a partner core) with a
-    recycled pool of completed entries, and pins the scratch-buffer
-    contract: the pop must hand back the *same* list object every call,
-    never a fresh allocation.
+    ``pop_retirable_f`` overhead is pure per-retired-instruction tax.
+    This micro drives the immediate gate (non-redundant retirement) and
+    the strict check gate (fingerprint close + self-compare + latency
+    queue — the full check-stage data path without needing a partner
+    core) over a real core's ring columns with a recycled pool of
+    completed slots, and pins the scratch-buffer contract: the pop must
+    hand back the *same* list object every call, never a fresh
+    allocation.
     """
     from collections import deque
 
     from repro.core.strict import StrictCheckGate
+    from repro.isa.decode import flags_of
+    from repro.memory import CoreMemPort, MainMemory, SharedL2Controller
     from repro.pipeline.gates import ImmediateGate
-    from repro.pipeline.rob import DynInstr, DynState
-    from repro.sim.config import RedundancyConfig
+    from repro.pipeline.ooo_core import OoOCore
+    from repro.pipeline.rob import DynState
+    from repro.sim.config import DEFAULT_CONFIG, RedundancyConfig
+    from repro.sim.stats import Stats
     from repro.workloads.micro import ComputeKernel
 
     program = ComputeKernel().programs(1, seed=0)[0]
     # Steady-state ALU writers only: serializing/HALT entries would close
     # intervals early and measure interval churn instead of the pop path.
     insts = [inst for inst in program.instructions if inst.is_alu]
-    pool: list[DynInstr] = []
-    for seq in range(256):
-        inst = insts[seq % len(insts)]
-        entry = DynInstr(seq, seq % len(insts), inst)
-        entry.state = DynState.COMPLETED
-        if inst.writes_reg:
-            entry.result = (seq * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-        pool.append(entry)
 
     gates = [
         ("immediate", ImmediateGate()),
@@ -716,7 +713,25 @@ def run_retire_gate_micro(
     ]
     results: list[RetireGateMicro] = []
     for name, gate in gates:
-        free = deque(pool)
+        config = DEFAULT_CONFIG
+        stats = Stats()
+        memory = MainMemory(config.memory.latency, config.l2.line_bytes)
+        controller = SharedL2Controller(config.l2, memory, stats)
+        port = CoreMemPort(0, config.l1, config.tlb, controller, stats)
+        core = OoOCore(0, config, program, port, gate=gate)
+        smask = core._f_smask
+        for slot in range(core._f_cap):
+            # A recycled slot keeps its seq: the gates only test that a
+            # popped ref is still live, never that seqs increase.
+            core.f_seq[slot] = slot
+            inst = insts[slot % len(insts)]
+            core.f_inst[slot] = inst
+            core.f_flags[slot] = flags_of(inst, core.sc_mode)
+            core.f_state[slot] = DynState.COMPLETED
+            if inst.writes_reg:
+                core.f_res[slot] = (slot * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        free = deque(range(core._f_cap))
+        offer = gate.offer_f  # hoisted, as the core's retire loop does
         popped = 0
         scratch_reused = True
         first: list | None = None
@@ -725,14 +740,14 @@ def run_retire_gate_micro(
             for _ in range(width):
                 if not free:
                     break
-                gate.offer(free.popleft(), now)
-            out = gate.pop_retirable(now, width)
+                offer(core, free.popleft() & smask, now)
+            out = gate.pop_retirable_f(core, now, width)
             if first is None:
                 first = out
             elif out is not first:
                 scratch_reused = False
             popped += len(out)
-            free.extend(out)
+            free.extend(out)  # packed refs; the offer masks them to slots
         wall = time.perf_counter() - start
         results.append(
             RetireGateMicro(

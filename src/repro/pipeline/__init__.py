@@ -3,13 +3,12 @@
 from repro.pipeline.branch_predictor import BranchPredictor
 from repro.pipeline.gates import ImmediateGate, RetireGate
 from repro.pipeline.ooo_core import OoOCore
-from repro.pipeline.rob import DynInstr, DynState
+from repro.pipeline.rob import DynState
 from repro.pipeline.tlb_handler import TSB_BASE, handler_sequence
 from repro.pipeline.trace import InstrTrace, PipelineTracer
 
 __all__ = [
     "BranchPredictor",
-    "DynInstr",
     "DynState",
     "ImmediateGate",
     "InstrTrace",

@@ -1,35 +1,31 @@
 """Cold-path views over the flat-array ROB.
 
-The flat hot loop (``REPRO_HOTLOOP=soa``, see
-:meth:`repro.pipeline.ooo_core.OoOCore.use_soa_hotloop`) keeps all
-in-flight instruction state in preallocated per-core column lists — a
-power-of-two ring of slots indexed by ``packed = (seq << sbits) | slot``
-references.  The steady-state dispatch→issue→complete→retire loop never
-builds a Python object per instruction; everything that still wants a
-``DynInstr``-shaped entry (fault injection, bandwidth metering, pipeline
-tracing, sync-request servicing, replay bookkeeping) receives a
-:class:`FlatView` instead.
+The core (:class:`repro.pipeline.ooo_core.OoOCore`) keeps all in-flight
+instruction state in preallocated per-core column lists — a power-of-two
+ring of slots indexed by ``packed = (seq << sbits) | slot`` references.
+The steady-state dispatch→issue→complete→retire loop never builds a
+Python object per instruction; everything that wants one entry as an
+object with attributes (fault injection, bandwidth metering, pipeline
+tracing, sync-request servicing) receives a :class:`FlatView` instead.
 
 A view is a per-slot singleton owned by the core (``core._f_views``),
 re-stamped with the slot's current ``seq`` each time the core hands it
 out.  That makes views safe to pass to transient consumers — every hook
 in the tree reads the entry during the call and stores nothing — while
 ``squashed`` stays meaningful afterwards: a view whose stamped seq no
-longer matches the column is stale, which is exactly the
-squashed-or-freed condition the object loop expresses via
-``DynInstr.squashed`` / ``DynState.RETIRED``.
+longer matches the column is stale — the entry was squashed or retired
+and its slot freed.
 
 Write-through setters cover the fields cold paths mutate (fault
 corruption of results/addresses/branch targets, sync-request value
 delivery, the pair controller's ``was_sync`` stamp).
 
-Alongside the columns, the flat loop hoists per-core config scalars
-into ``_c_*`` attributes at ``use_soa_hotloop`` time.  Anything that
-mutates one of those after construction must refresh the hoisted copy —
-``OoOCore.set_issue_width`` (the little-mute protection policy's
-narrowed issue stage, ``_c_issue_width``) is the one mutable example,
-and it re-stamps the hoist itself so both hot loops read the same
-width whichever order the policy and the loop selection are applied in.
+Alongside the columns, the core hoists per-core config scalars into
+``_c_*`` attributes at construction.  Anything that mutates one of those
+afterwards must refresh the hoisted copy — ``OoOCore.set_issue_width``
+(the little-mute protection policy's narrowed issue stage,
+``_c_issue_width``) is the one mutable example, and it re-stamps the
+hoist itself.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ M_FAULTED = 8  # the fault injector corrupted this entry
 
 
 class FlatView:
-    """A ``DynInstr``-shaped window onto one flat-ROB slot."""
+    """An entry-shaped window onto one flat-ROB slot."""
 
     __slots__ = ("_c", "_s", "_q")
 
@@ -104,10 +100,6 @@ class FlatView:
     @property
     def flags(self) -> int:
         return self._c.f_flags[self._s]
-
-    @property
-    def replay_index(self):
-        return self._c.f_ridx[self._s]
 
     @property
     def serializing(self) -> bool:

@@ -18,7 +18,6 @@ The paper assumes on-chip cache bandwidth scales with the core count
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Callable, Sequence
 
 from repro.core.pair import LogicalPair
@@ -46,24 +45,6 @@ from repro.sim.stats import Stats
 #: pair (which share the schedule) trigger at identical program points.
 ITLBSchedule = Callable[[int], bool]
 
-#: One-shot latch for the legacy-kwargs deprecation warning, so a test
-#: sweep constructing hundreds of systems warns exactly once per process.
-_LEGACY_KWARGS_WARNED = False
-
-
-def _warn_legacy_kwargs() -> None:
-    global _LEGACY_KWARGS_WARNED
-    if _LEGACY_KWARGS_WARNED:
-        return
-    _LEGACY_KWARGS_WARNED = True
-    warnings.warn(
-        "CMPSystem(kernel=..., execution=...) is deprecated; pass "
-        "CMPSystem(options=SimOptions(kernel=..., execution=...)) instead "
-        "(SimOptions.from_env() resolves REPRO_KERNEL/REPRO_EXEC/REPRO_TRACE)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class CMPSystem:
     """One simulated CMP running one program per logical processor."""
@@ -73,22 +54,13 @@ class CMPSystem:
         config: SystemConfig,
         programs: Sequence[Program],
         itlb_schedules: Sequence[ITLBSchedule | None] | None = None,
-        kernel: str | None = None,
-        execution: str | None = None,
+        *,
         options: SimOptions | None = None,
     ) -> None:
         if options is None:
-            # Legacy construction path: per-knob kwargs with env
-            # fallbacks.  SimOptions.from_env is the single resolver —
-            # explicit kwargs override REPRO_KERNEL/REPRO_EXEC exactly
-            # as they always did.
-            if kernel is not None or execution is not None:
-                _warn_legacy_kwargs()
-            options = SimOptions.from_env(kernel=kernel, execution=execution)
-        elif kernel is not None or execution is not None:
-            raise ValueError(
-                "pass kernel/execution inside SimOptions, not alongside options="
-            )
+            # SimOptions.from_env is the single resolver of the
+            # REPRO_KERNEL / REPRO_EXEC / REPRO_TRACE defaults.
+            options = SimOptions.from_env()
         #: The resolved run options (see :class:`repro.sim.options.SimOptions`).
         self.options = options
         #: Simulation kernel: ``"event"`` skips cycles in which no
@@ -219,15 +191,6 @@ class CMPSystem:
                     policy=policy,
                 )
                 self.pairs.append(pair)
-
-        if options.hotloop == "soa":
-            # Structure-of-arrays hot loop: pre-decode each program once
-            # into flat tables and rebind ``core.step`` to the fused fast
-            # path (see repro.isa.decode and OoOCore.use_soa_hotloop).
-            # Bit-identical to the object loop; REPRO_HOTLOOP=object
-            # keeps the reference implementation selectable.
-            for core in self.cores:
-                core.use_soa_hotloop()
 
         #: Armed telemetry (see :mod:`repro.obs`), or None when off.  The
         #: zero-cost-when-off contract: every emitting site holds this

@@ -60,7 +60,6 @@ TRACE_LEVELS = ("off", "metrics", "events", "full")
 
 _KERNELS = ("event", "naive")
 _EXECUTIONS = ("replay", "dual")
-_HOTLOOPS = ("soa", "object")
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class SimOptions:
 
     kernel: str = "event"
     execution: str = "replay"
-    hotloop: str = "soa"  # core stepping implementation (bit-identical pair)
     trace: str = "off"
     trace_capacity: int = 65_536  # event ring-buffer size (records)
     max_cycles: int = 1_000_000  # run_until_idle bound
@@ -121,10 +119,6 @@ class SimOptions:
                     mode="full", replay=(self.execution == "replay")
                 ),
             )
-        if self.hotloop not in _HOTLOOPS:
-            raise ValueError(
-                f"unknown hot loop {self.hotloop!r}; use 'soa' or 'object'"
-            )
         if self.trace not in TRACE_LEVELS:
             raise ValueError(
                 f"unknown trace level {self.trace!r}; use one of {TRACE_LEVELS}"
@@ -148,8 +142,7 @@ class SimOptions:
         """Resolve options from the environment, explicit values winning.
 
         The *only* place ``REPRO_KERNEL`` / ``REPRO_EXEC`` /
-        ``REPRO_HOTLOOP`` / ``REPRO_TRACE`` / ``REPRO_TRACE_CAPACITY``
-        are consulted.
+        ``REPRO_TRACE`` / ``REPRO_TRACE_CAPACITY`` are consulted.
         ``overrides`` mirror the dataclass fields; ``None`` values mean
         "not specified" and fall through to the environment (and from
         there to the field default), so argparse results can be passed
@@ -163,7 +156,6 @@ class SimOptions:
         values: dict[str, Any] = {
             "kernel": env.get("REPRO_KERNEL") or cls.kernel,
             "execution": env.get("REPRO_EXEC") or cls.execution,
-            "hotloop": env.get("REPRO_HOTLOOP") or cls.hotloop,
             "trace": env.get("REPRO_TRACE") or cls.trace,
         }
         capacity = env.get("REPRO_TRACE_CAPACITY", "").strip()
@@ -180,11 +172,9 @@ def options_key_payload(options: SimOptions | None) -> dict[str, Any]:
 
     Telemetry is excluded *by design* (it must never change results —
     ``tests/exec/test_jobs.py`` pins this), and ``kernel`` /
-    ``execution`` / ``hotloop`` are excluded by their bit-identity
-    contracts: a sample is the same sample however it was computed, so a
-    cache populated under ``REPRO_EXEC=dual`` serves ``replay`` runs,
-    one populated under ``REPRO_HOTLOOP=object`` serves ``soa`` runs,
-    and vice versa.  ``protection`` is constrained to ``full``-mode
+    ``execution`` are excluded by their bit-identity contracts: a sample
+    is the same sample however it was computed, so a cache populated
+    under ``REPRO_EXEC=dual`` serves ``replay`` runs, and vice versa.  ``protection`` is constrained to ``full``-mode
     policies exactly so it stays inside that contract (its only degree
     of freedom is the replay bit); the result-affecting policy axis is
     :attr:`~repro.sim.config.SystemConfig.pair_policies`, which is

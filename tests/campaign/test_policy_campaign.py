@@ -28,17 +28,21 @@ INJECTIONS = 10
         ProtectionPolicy.dynamic(),
     ],
 )
-def test_refuses_partial_policies_by_default(policy):
+def test_refuses_partial_policies_by_default(policy, tmp_path):
     with pytest.raises(ValueError, match="partial protection"):
         run_campaign(
-            WORKLOAD, 4, config=campaign_config(policy=policy)
+            WORKLOAD, 4, config=campaign_config(policy=policy),
+            cache_root=str(tmp_path),
         )
 
 
-def test_full_policy_is_the_policy_free_campaign():
-    bare = run_campaign(WORKLOAD, INJECTIONS)
+def test_full_policy_is_the_policy_free_campaign(tmp_path):
+    bare = run_campaign(WORKLOAD, INJECTIONS, cache_root=str(tmp_path / "bare"))
     full = run_campaign(
-        WORKLOAD, INJECTIONS, config=campaign_config(policy=ProtectionPolicy.full())
+        WORKLOAD,
+        INJECTIONS,
+        config=campaign_config(policy=ProtectionPolicy.full()),
+        cache_root=str(tmp_path / "full"),
     )
     assert [outcome.classification for outcome in full.outcomes] == [
         outcome.classification for outcome in bare.outcomes
@@ -51,22 +55,24 @@ def test_full_policy_is_the_policy_free_campaign():
     assert all(not outcome.unchecked for outcome in full.outcomes)
 
 
-def test_little_mute_campaign_is_not_partial():
+def test_little_mute_campaign_is_not_partial(tmp_path):
     # Heterogeneous but complete coverage: no opt-in needed.
     result = run_campaign(
         WORKLOAD,
         INJECTIONS,
         config=campaign_config(policy=ProtectionPolicy.little_mute(2)),
+        cache_root=str(tmp_path),
     )
     assert result.stats.sdc_unchecked == 0
 
 
-def test_unprotected_attributes_every_sdc_to_the_coverage_gap():
+def test_unprotected_attributes_every_sdc_to_the_coverage_gap(tmp_path):
     result = run_campaign(
         WORKLOAD,
         INJECTIONS,
         config=campaign_config(policy=ProtectionPolicy.unprotected()),
         allow_partial=True,
+        cache_root=str(tmp_path),
     )
     stats = result.stats
     # Nothing is compared, so nothing is detected...

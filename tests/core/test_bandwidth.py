@@ -1,13 +1,22 @@
 """Unit tests for comparison-bandwidth accounting (Section 2.4)."""
 
+from types import SimpleNamespace
+
 from repro.core.bandwidth import BandwidthMeter, ends_dependence_chain, update_bits
 from repro.isa import Instruction, Op, assemble
-from repro.pipeline.rob import DynInstr
 from tests.pipeline.helpers import build_core, run_to_halt
 
 
 def entry_for(inst, **fields):
-    entry = DynInstr(0, 0, inst)
+    """A retired entry's fields (update_bits and friends are duck-typed)."""
+    entry = SimpleNamespace(
+        inst=inst,
+        result=None,
+        addr=None,
+        store_value=None,
+        actual_next=None,
+        consumed=False,
+    )
     for name, value in fields.items():
         setattr(entry, name, value)
     return entry

@@ -1,11 +1,12 @@
 """Tests for fingerprint generation and the two-stage compression."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fingerprint import FingerprintAccumulator, fingerprint_words
 from repro.isa import Instruction, Op
-from repro.pipeline.rob import DynInstr
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -91,12 +92,15 @@ class TestTwoStage:
 
 class TestInstructionUpdates:
     def _entry(self, inst, result=None, addr=None, store_value=None, actual_next=None):
-        entry = DynInstr(0, 0, inst)
-        entry.result = result
-        entry.addr = addr
-        entry.store_value = store_value
-        entry.actual_next = actual_next
-        return entry
+        # add_instruction is duck-typed: any object with the retired
+        # entry's fields stands in for a ring-slot view.
+        return SimpleNamespace(
+            inst=inst,
+            result=result,
+            addr=addr,
+            store_value=store_value,
+            actual_next=actual_next,
+        )
 
     def _digest(self, entry):
         acc = FingerprintAccumulator()

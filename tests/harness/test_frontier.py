@@ -141,6 +141,7 @@ class TestTinySweep:
             workload_names=("compute-kernel",),
             injections=8,
             runner=Runner(TINY),
+            cache_root=str(tmp_path),
         )
         assert len(result.points) == 2
         full = result.point("full", "compute-kernel")

@@ -1,11 +1,11 @@
 """Decode-table equivalence: the F_* bitmask vs the Instruction it summarizes.
 
-The structure-of-arrays hot loop (``REPRO_HOTLOOP=soa``) trusts one int
-bitmask per static instruction instead of chasing ``Instruction``
-attributes per dynamic instance.  These tests pin the mask to the object
-view over every opcode and operand shape, in both consistency modes, so
-the two hot loops can never read different classifications for the same
-instruction.
+The core's flat ring trusts one int bitmask per static instruction
+instead of chasing ``Instruction`` attributes per dynamic instance.
+These tests pin the mask to the object view over every opcode and
+operand shape, in both consistency modes, so decoded rows and the cold
+paths that read ``Instruction`` attributes can never classify the same
+instruction differently.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def test_store_bit_excludes_atomics() -> None:
 
     Atomics report ``is_store`` (they write memory) but never occupy the
     store buffer — they serialize instead.  The mask must keep the two
-    routes as distinct as the object loop's ``op is Op.STORE`` checks.
+    routes as distinct as the cold path's ``op is Op.STORE`` checks.
     """
     store = flags_of(Instruction(Op.STORE, rs1=1, rs2=2), sc_mode=False)
     assert store & F_STORE

@@ -8,6 +8,8 @@ behavior, or TLB activity.  This is the strongest single check on the
 pipeline's value accuracy, which everything in Reunion depends on.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +75,55 @@ def random_program(draw):
             max_size=len(DATA_REGS),
         )
     )
+    return build_program(iterations, body, seeds)
 
+
+def seeded_random_program(seed: int) -> Program:
+    """The :func:`random_program` distribution, drawn from a seeded RNG.
+
+    Same descriptor vocabulary and bounds, but independent of the
+    Hypothesis version, so a corpus of these programs stays fixed for
+    golden digests.
+    """
+    rng = random.Random(seed)
+    alu = [Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.MUL, Op.SLT]
+    imm = [Op.ADDI, Op.ANDI, Op.ORI, Op.XORI]
+    branches = [Op.BEQ, Op.BNE, Op.BLT, Op.BGE]
+
+    def reg() -> int:
+        return rng.choice(DATA_REGS)
+
+    def off() -> int:
+        return rng.randrange(DATA_WORDS) * 8
+
+    def descriptor() -> tuple:
+        kind = rng.choice(
+            ["alu", "alu", "alu", "imm", "load", "store", "branch", "serial", "atomic"]
+        )
+        if kind == "alu":
+            return ("alu", rng.choice(alu), reg(), reg(), reg())
+        if kind == "imm":
+            return ("imm", rng.choice(imm), reg(), reg(), rng.randint(-100, 100))
+        if kind == "load":
+            return ("load", reg(), off())
+        if kind == "store":
+            return ("store", reg(), off())
+        if kind == "branch":
+            return ("branch", rng.choice(branches), reg(), reg())
+        if kind == "atomic":
+            return ("atomic", reg(), reg(), off())
+        return ("serial", rng.choice([Op.MEMBAR, Op.TRAP, Op.MMUOP]))
+
+    iterations = rng.randint(1, 4)
+    body = [descriptor() for _ in range(rng.randint(1, 25))]
+    seeds = [rng.randint(0, 2**16) for _ in DATA_REGS]
+    return build_program(iterations, body, seeds, name=f"random/{seed}")
+
+
+def build_program(
+    iterations: int, body: list[tuple], seeds: list[int], name: str = "random"
+) -> Program:
+    """Assemble body descriptors into a terminating countdown loop."""
     instructions = [
         Instruction(Op.MOVI, rd=LOOP_REG, imm=iterations),
         Instruction(Op.MOVI, rd=BASE_REG, imm=DATA_BASE),
@@ -117,7 +167,7 @@ def random_program(draw):
     )
     instructions.append(Instruction(Op.HALT))
     image = {DATA_BASE + 8 * i: (i * 0x1234 + 1) for i in range(DATA_WORDS)}
-    return Program(instructions=instructions, memory_image=image, name="random")
+    return Program(instructions=instructions, memory_image=image, name=name)
 
 
 @given(program=random_program())

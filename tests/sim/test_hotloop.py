@@ -1,64 +1,66 @@
-"""Equivalence of the SoA hot loop and the object reference loop.
+"""Golden digests of the core hot loop.
 
-``REPRO_HOTLOOP=soa`` (the default) pre-decodes each program into flat
-int tables and rebinds ``OoOCore.step`` to a fused fast path;
-``REPRO_HOTLOOP=object`` keeps the original attribute-chasing loop.
-Their contract is *bit identity*: same statistics, same fingerprint
-comparison sequence, same recoveries, same architectural state — on any
-program, under any kernel, execution strategy, or fault plan.  These
-tests diff everything observable between the two loops, on curated
-scenarios and on Hypothesis-generated random programs with randomized
-fault injection.
+Every scenario in :mod:`tests.sim.golden_scenarios` is replayed on the
+shipping core loop and diffed against ``tests/sim/goldens/core_loop.json``:
+statistics, fingerprint comparison counts, recovery logs, architectural
+registers and each vocal's commit-stream signature.  The digests were
+recorded while a second, object-graph implementation of the same
+pipeline still existed, and that recording asserted both loops agreed on
+every entry; the file now holds that shared answer.  A mismatch here is
+a behaviour change of the pipeline, never noise: regenerate the file
+(``python -m tests.sim.record_goldens``) only together with the change
+that explains it.
+
+The scenarios cover the kernel x execution matrix (MIXED and a
+memory-bound pointer chase), periodic fault recovery per fault target, a
+seeded corpus of random programs with fault plans, a cold-path fuzz that
+forces squashes, TLB traps, an interrupt and recoveries in one run, and a
+system matrix spanning every redundancy mode, coherence backend and
+protection policy.
 """
 
 from __future__ import annotations
 
-import random
+import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.faults import FaultInjector
-from repro.isa import assemble
-from repro.isa.builder import ProgramBuilder
-from repro.isa.opcodes import Op
-from repro.sim.cmp import CMPSystem
-from repro.sim.config import Mode, PhantomStrength
-from repro.sim.options import SimOptions
-from repro.workloads.base import hashed_schedule
-from repro.workloads.micro import MICRO_BASE, PointerChase
-from tests.core.helpers import SMALL
-from tests.pipeline.test_differential_random import random_program
-from tests.sim.test_replay_exec import MIXED, _observe
+from tests.sim.golden_scenarios import (
+    FAULT_TARGETS,
+    RANDOM_SEEDS,
+    all_scenarios,
+    digest,
+    system_scenarios,
+)
 
-CHASE = PointerChase(nodes=48, chases_per_iteration=6)
+GOLDENS = json.loads(
+    (Path(__file__).parent / "goldens" / "core_loop.json").read_text()
+)["entries"]
+SCENARIOS = {scenario.name: scenario for scenario in all_scenarios()}
 
 
-def _config(fingerprint_interval: int = 8):
-    return SMALL.replace(n_logical=1).with_redundancy(
-        mode=Mode.REUNION,
-        comparison_latency=10,
-        fingerprint_interval=fingerprint_interval,
-        phantom=PhantomStrength.GLOBAL,
-    )
+def _mismatch(name: str) -> list[str]:
+    """Replay ``name``; return the digest fields that differ from the golden."""
+    scenario = SCENARIOS[name]
+    got, system = digest(scenario)
+    if scenario.sanity is not None:
+        scenario.sanity(system)
+    want = GOLDENS[name]
+    observed = got["observe"]
+    fields = [key for key, value in want["observe"].items() if observed.get(key) != value]
+    if got["commits"] != want["commits"]:
+        fields.append("commits")
+    return fields
 
 
-def _run(
-    program, hotloop, *, kernel="event", execution="dual", injector=None, cycles=None
-):
-    options = SimOptions(hotloop=hotloop, kernel=kernel, execution=execution)
-    system = CMPSystem(_config(), [program], options=options)
-    if injector is not None:
-        interval, seed, target = injector
-        FaultInjector(interval=interval, seed=seed, target=target).attach(
-            system.cores[1]
-        )
-    if cycles is None:
-        system.run_until_idle(max_cycles=500_000)
-    else:
-        system.run(cycles)  # non-terminating workloads: fixed horizon
-    return system
+def _check(name: str) -> None:
+    fields = _mismatch(name)
+    assert not fields, f"{name}: {fields} differ from the golden digest"
+
+
+def test_goldens_cover_every_scenario():
+    assert set(GOLDENS) == set(SCENARIOS)
 
 
 @pytest.mark.parametrize("kernel", ["naive", "event"])
@@ -67,166 +69,41 @@ class TestHotLoopEquivalence:
     """Curated scenarios across the full kernel x execution matrix."""
 
     def test_mixed_workload(self, kernel, execution):
-        program = assemble(MIXED)
-        soa = _run(program, "soa", kernel=kernel, execution=execution)
-        obj = _run(program, "object", kernel=kernel, execution=execution)
-        assert _observe(soa) == _observe(obj)
+        _check(f"mixed/{execution}-{kernel}")
 
     def test_memory_bound_workload(self, kernel, execution):
-        program = CHASE.programs(1, seed=3)[0]
-        soa = _run(program, "soa", kernel=kernel, execution=execution, cycles=30_000)
-        obj = _run(
-            program, "object", kernel=kernel, execution=execution, cycles=30_000
-        )
-        assert _observe(soa) == _observe(obj)
+        _check(f"chase/{execution}-{kernel}")
 
 
-@pytest.mark.parametrize("target", ["result", "store_addr", "branch_target"])
+@pytest.mark.parametrize("target", FAULT_TARGETS)
 def test_fault_recovery_is_loop_independent(target):
-    """Injected faults must detect and recover identically under both loops.
+    """Injected faults detect and recover exactly as recorded.
 
     The injector counts *eligible* instructions, so any divergence in
-    issue order or re-execution between the loops would shift every
-    subsequent injection and show up as a different recovery log.
+    issue order or re-execution would shift every subsequent injection
+    and show up as a different recovery log.
     """
-    program = assemble(MIXED)
-    injector = (40, 11, target)
-    soa = _run(program, "soa", injector=injector)
-    obj = _run(program, "object", injector=injector)
-    soa_obs, obj_obs = _observe(soa), _observe(obj)
-    assert soa_obs == obj_obs
-    assert soa.pairs[0].recoveries > 0  # the plan actually fired
+    _check(f"fault/{target}")
 
 
-@given(
-    program=random_program(),
-    fault=st.one_of(
-        st.none(),
-        st.tuples(
-            st.integers(min_value=20, max_value=80),  # interval
-            st.integers(min_value=0, max_value=2**16),  # seed
-            st.sampled_from(["result", "store_addr", "branch_target"]),
-        ),
-    ),
-)
-@settings(max_examples=20, deadline=None)
-def test_random_programs_bit_identical(program, fault):
-    """Fuzz: random programs and fault plans, diffed loop-vs-loop."""
-    soa = _run(program, "soa", injector=fault)
-    obj = _run(program, "object", injector=fault)
-    assert _observe(soa) == _observe(obj)
-
-
-def _fuzz_program(seed: int):
-    """A branchy, store-heavy, TLB-hostile loop for the cold-path fuzz.
-
-    Loads pseudo-random memory words and branches on their low bit, so
-    roughly half the conditional branches mispredict (squash path); the
-    roving offset strides across a 32 KB footprint — double the SMALL
-    config's 16-entry x 1 KB DTLB reach — so loads keep taking software
-    TLB walks (injected-handler path); the not-taken arms store, feeding
-    the fingerprint store words and the ``store_addr`` fault target.
-    """
-    rng = random.Random(0xF022 ^ seed)
-    words = 4096
-    mask = (words * 8 - 1) & ~0x7
-    builder = ProgramBuilder(name=f"coldpath-fuzz/{seed}")
-    builder.reg(1, MICRO_BASE)  # footprint base
-    builder.reg(2, 0)  # roving offset
-    builder.reg(3, rng.randrange(1, 1 << 16) | 1)  # odd scramble constant
-    builder.label("loop")
-    for i in range(rng.randrange(6, 12)):
-        builder.add(4, 1, 2)
-        builder.load(5, 4)
-        builder.alu(Op.XOR, 6, 6, 5)
-        builder.alu(Op.MUL, 6, 6, 3)
-        builder.alu(Op.ANDI, 7, 6, imm=1)
-        skip = f"skip{i}"
-        builder.bne(7, 0, skip)
-        builder.store(6, 4)
-        builder.label(skip)
-        builder.addi(2, 2, rng.choice([8, 24, 1032, 2056]))
-        builder.alu(Op.ANDI, 2, 2, imm=mask)
-    builder.jump("loop")
-    program = builder.build()
-    program.memory_image.update(
-        {MICRO_BASE + i * 8: rng.getrandbits(64) for i in range(words)}
-    )
-    return program
+def test_random_programs_bit_identical():
+    """The seeded random-program corpus, fault plans included."""
+    names = [f"random/{seed}" for seed in RANDOM_SEEDS]
+    mismatched = {name: fields for name in names if (fields := _mismatch(name))}
+    assert not mismatched
+    recovered = [name for name in names if any(GOLDENS[name]["observe"]["recovery_log"])]
+    assert len(recovered) >= 8, "the corpus' fault plans stopped firing"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cold_path_fuzz_bit_identical(seed):
-    """Seeded fuzz forcing every view-materializing cold path in one run.
-
-    One scenario exercises, simultaneously and on both loops: branch
-    mispredicts (squash rollback), synthetic ITLB misses (trap squash +
-    injected handler), DTLB misses (software-walk injection), an external
-    interrupt replicated mid-run, and mid-interval fault injection on the
-    mute with the resulting detections and recoveries.  The sanity
-    asserts at the bottom prove each path actually fired — a fuzz that
-    silently stopped reaching a cold path would otherwise keep passing on
-    vacuous equality.
-    """
-    rng = random.Random(0x5EED ^ seed)
-    program = _fuzz_program(seed)
-    itlb = hashed_schedule(rate_per_kinstr=rng.choice([10.0, 25.0]), seed=seed)
-    interval = rng.choice([1, 4, 8])
-    kernel = rng.choice(["naive", "event"])
-    execution = rng.choice(["dual", "replay"])
-    interrupt_at = rng.randrange(2_000, 8_000)
-    fault = (
-        rng.randrange(25, 60),
-        rng.randrange(2**16),
-        rng.choice(["result", "store_addr", "branch_target"]),
-    )
-    horizon = 20_000
-
-    def run(hotloop):
-        options = SimOptions(hotloop=hotloop, kernel=kernel, execution=execution)
-        system = CMPSystem(
-            _config(fingerprint_interval=interval), [program], [itlb],
-            options=options,
-        )
-        fault_interval, fault_seed, fault_target = fault
-        FaultInjector(
-            interval=fault_interval, seed=fault_seed, target=fault_target
-        ).attach(system.cores[1])
-        system.run(interrupt_at)
-        system.post_interrupt(0)
-        system.run(horizon - interrupt_at)
-        return system
-
-    soa = run("soa")
-    obj = run("object")
-    assert _observe(soa) == _observe(obj)
-    vocal = soa.cores[0]
-    assert vocal.mispredicts > 0
-    assert vocal.dtlb_misses > 0
-    assert vocal.itlb_misses > 0
-    assert vocal.interrupts_serviced == 1
-    assert soa.pairs[0].recoveries > 0
+    """Squashes, ITLB and DTLB traps, an interrupt and recoveries, one run."""
+    _check(f"coldpath/{seed}")
 
 
-class TestHotLoopSelection:
-    def test_env_selects_object_loop(self):
-        options = SimOptions.from_env({"REPRO_HOTLOOP": "object"})
-        assert options.hotloop == "object"
-        system = CMPSystem(_config(), [assemble(MIXED)], options=options)
-        core = system.cores[0]
-        assert core.step.__func__ is type(core).step
-
-    def test_empty_env_value_means_unset(self):
-        # A CI matrix leg that doesn't pin the knob exports "".
-        assert SimOptions.from_env({"REPRO_HOTLOOP": ""}).hotloop == "soa"
-
-    def test_default_is_soa(self):
-        options = SimOptions.from_env({})
-        assert options.hotloop == "soa"
-        system = CMPSystem(_config(), [assemble(MIXED)], options=options)
-        core = system.cores[0]
-        assert core.step.__func__ is type(core)._step_soa
-
-    def test_unknown_hotloop_rejected(self):
-        with pytest.raises(ValueError, match="hot loop"):
-            SimOptions(hotloop="vectorized")
+@pytest.mark.parametrize(
+    "name", [scenario.name.partition("/")[2] for scenario in system_scenarios()]
+)
+def test_system_matrix(name):
+    """Every redundancy mode, coherence backend and protection policy."""
+    _check(f"system/{name}")

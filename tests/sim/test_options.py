@@ -1,10 +1,9 @@
-"""SimOptions resolution and the CMPSystem legacy-kwargs shim."""
+"""SimOptions resolution and how CMPSystem takes its options."""
 
 import warnings
 
 import pytest
 
-import repro.sim.cmp as cmp_module
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode
@@ -117,10 +116,12 @@ class TestCMPSystemOptions:
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
     def test_options_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ValueError, match="SimOptions"):
+        # The per-knob kwargs are gone: kernel/execution travel only
+        # inside SimOptions.
+        with pytest.raises(TypeError, match="kernel"):
             _system(options=SimOptions(), kernel="naive")
-        with pytest.raises(ValueError, match="SimOptions"):
-            _system(options=SimOptions(), execution="dual")
+        with pytest.raises(TypeError, match="execution"):
+            _system(execution="dual")
 
     def test_max_cycles_threads_into_run_until_idle(self):
         system = _system(options=SimOptions(max_cycles=2))
@@ -133,12 +134,6 @@ class TestCMPSystemOptions:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_still_work(self, monkeypatch):
-        monkeypatch.setattr(cmp_module, "_LEGACY_KWARGS_WARNED", True)  # silence
-        system = _system(kernel="naive", execution="dual")
-        assert system.kernel == "naive"
-        assert system.execution == "dual"
-
     def test_legacy_env_vars_still_work(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "naive")
         monkeypatch.setenv("REPRO_EXEC", "dual")
@@ -146,20 +141,7 @@ class TestLegacyShim:
         assert system.kernel == "naive"
         assert system.execution == "dual"
 
-    def test_legacy_kwargs_warn_exactly_once(self, monkeypatch):
-        monkeypatch.setattr(cmp_module, "_LEGACY_KWARGS_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _system(kernel="naive")
-            _system(kernel="naive")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "SimOptions" in str(deprecations[0].message)
-
-    def test_plain_construction_does_not_warn(self, monkeypatch):
-        monkeypatch.setattr(cmp_module, "_LEGACY_KWARGS_WARNED", False)
+    def test_plain_construction_does_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _system()

@@ -22,6 +22,7 @@ from repro.core.faults import FaultInjector
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, PhantomStrength
+from repro.sim.options import SimOptions
 from repro.workloads.micro import PointerChase
 from tests.core.helpers import SMALL
 
@@ -104,7 +105,9 @@ class TestReplayEquivalence:
     def test_mixed_workload(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -122,7 +125,9 @@ class TestReplayEquivalence:
 
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(COMPUTE)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(COMPUTE)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -138,7 +143,9 @@ class TestReplayEquivalence:
 
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(COMPUTE)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(COMPUTE)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(400)
             return system
@@ -150,8 +157,9 @@ class TestReplayEquivalence:
     def test_memory_bound_windows(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), CHASE.programs(1, seed=0), kernel=kernel,
-                execution=execution,
+                _config(),
+                CHASE.programs(1, seed=0),
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(1_500)  # warmup
             system.run(2_500)  # measure
@@ -191,8 +199,7 @@ class TestReplayEquivalence:
             system = CMPSystem(
                 _config(phantom=PhantomStrength.NULL),
                 [assemble(self.INCOHERENT)],
-                kernel=kernel,
-                execution=execution,
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -204,7 +211,9 @@ class TestReplayEquivalence:
     def test_interrupt_service_identical(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(600)
             system.post_interrupt(0)
@@ -223,7 +232,9 @@ class TestFaultInjectionUnderReplay:
     def test_single_upset_recovery_identical(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             injector = FaultInjector(seed=7)
             injector.attach(system.cores[1])  # the mute
@@ -240,7 +251,9 @@ class TestFaultInjectionUnderReplay:
     def test_periodic_upsets_identical(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             injector = FaultInjector(interval=60, seed=3)
             injector.attach(system.cores[1])
@@ -264,14 +277,18 @@ class TestReplayScope:
         trigger.
         """
         system = CMPSystem(
-            _config(n_logical=2), [assemble(MIXED)] * 2, execution="replay"
+            _config(n_logical=2),
+            [assemble(MIXED)] * 2,
+            options=SimOptions.from_env(execution="replay"),
         )
         assert all(pair.replay_enabled for pair in system.pairs)
         system.run_until_idle(max_cycles=500_000)
         assert all(pair.mirror_cycles > 0 for pair in system.pairs)
         assert all(not pair.replay_enabled for pair in system.pairs)
         reference = CMPSystem(
-            _config(n_logical=2), [assemble(MIXED)] * 2, execution="dual"
+            _config(n_logical=2),
+            [assemble(MIXED)] * 2,
+            options=SimOptions.from_env(execution="dual"),
         )
         reference.run_until_idle(max_cycles=500_000)
         assert _observe(reference) == _observe(system)
@@ -290,16 +307,28 @@ class TestReplayScope:
 
         preset = getattr(sim_presets, preset_name)
         programs = [assemble(COMPUTE)] * preset.n_logical
-        replay = CMPSystem(preset, programs, execution="replay")
+        replay = CMPSystem(
+            preset,
+            programs,
+            options=SimOptions.from_env(execution="replay"),
+        )
         assert all(pair.replay_enabled for pair in replay.pairs)
         replay.run_until_idle(max_cycles=500_000)
         assert all(pair.mirror_cycles > 0 for pair in replay.pairs)
-        dual = CMPSystem(preset, programs, execution="dual")
+        dual = CMPSystem(
+            preset,
+            programs,
+            options=SimOptions.from_env(execution="dual"),
+        )
         dual.run_until_idle(max_cycles=500_000)
         assert _observe(dual) == _observe(replay)
 
     def test_decouple_disables_replay(self):
-        system = CMPSystem(_config(), [assemble(COMPUTE)], execution="replay")
+        system = CMPSystem(
+            _config(),
+            [assemble(COMPUTE)],
+            options=SimOptions.from_env(execution="replay"),
+        )
         system.run(600)
         assert system.pairs[0].replay_enabled
         pair = system.pairs[0]
@@ -307,7 +336,11 @@ class TestReplayScope:
         assert not pair.replay_enabled
 
     def test_mid_run_fault_attach_disables(self):
-        system = CMPSystem(_config(), [assemble(COMPUTE)], execution="replay")
+        system = CMPSystem(
+            _config(),
+            [assemble(COMPUTE)],
+            options=SimOptions.from_env(execution="replay"),
+        )
         system.run(400)
         assert system.pairs[0].replay_enabled
         FaultInjector(seed=1).attach(system.cores[1])
@@ -328,10 +361,18 @@ class TestExecutionSelection:
 
     def test_explicit_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC", "replay")
-        system = CMPSystem(_config(), [assemble(MIXED)], execution="dual")
+        system = CMPSystem(
+            _config(),
+            [assemble(MIXED)],
+            options=SimOptions.from_env(execution="dual"),
+        )
         assert system.execution == "dual"
         assert not system.pairs[0].replay_enabled
 
     def test_unknown_execution_rejected(self):
         with pytest.raises(ValueError):
-            CMPSystem(_config(), [assemble(MIXED)], execution="turbo")
+            CMPSystem(
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(execution="turbo"),
+            )
