@@ -573,21 +573,16 @@ def cmd_bench(args) -> int:
         run_bench,
     )
 
-    if args.compare:
-        old_path, new_path = args.compare
-        print(compare_reports(BenchReport.load(old_path), BenchReport.load(new_path)))
-        return 0
-
     try:
+        if args.compare:
+            old_path, new_path = args.compare
+            print(compare_reports(BenchReport.load(old_path), BenchReport.load(new_path)))
+            return 0
+        baseline = BenchReport.load(args.baseline) if args.baseline else None
         report = run_bench(
             scale_name=args.scale or "quick",
             jobs=args.jobs,
             only=args.only,
-            compare_kernels=not args.no_kernel_comparison,
-            compare_exec=not args.no_exec_comparison,
-            compare_telemetry=not args.no_telemetry_comparison,
-            directory_scenario=not args.no_directory_scenario,
-            protection_scenario=not args.no_protection_scenario,
             quick=args.quick,
         )
     except ValueError as exc:
@@ -596,8 +591,7 @@ def cmd_bench(args) -> int:
     print(report.render())
     path = report.write(args.out)
     print(f"wrote {path}", file=sys.stderr)
-    if args.baseline:
-        baseline = BenchReport.load(args.baseline)
+    if baseline is not None:
         problems = check_regression(report, baseline)
         if problems:
             for problem in problems:
@@ -918,53 +912,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="worker processes for each sweep"
     )
     bench_parser.add_argument(
-        "--only", nargs="*", help="fig5 fig6a fig6b table3 fig7a fig7b sc"
+        "--only",
+        nargs="*",
+        help="entries to run (default all): fig5 fig6a fig6b table3 fig7a "
+        "fig7b sc kernel exec telemetry directory protection retire-gate cache",
     )
     bench_parser.add_argument(
         "--out", default=".", help="directory for the BENCH_<date>.json report"
     )
     bench_parser.add_argument(
         "--baseline",
-        help="a prior BENCH json; exit 1 if any phase regresses >3x "
-        "or the kernels disagree",
+        help="a prior BENCH json; exit 1 if any gated row fails: a phase, "
+        "protection, retire-gate or cache rate >3x below the baseline, "
+        "a bit-identity or scratch-reuse check, replay <0.95x dual, "
+        "telemetry overhead >1.10x, an inverted protection sim-IPC "
+        "ordering, or zero directory mirror cycles",
     )
     bench_parser.add_argument(
         "--compare",
         nargs=2,
         metavar=("OLD.json", "NEW.json"),
-        help="diff two BENCH_*.json reports (per-phase cycles/s ratio, "
-        "speedup drift) instead of running the bench",
-    )
-    bench_parser.add_argument(
-        "--no-kernel-comparison",
-        action="store_true",
-        help="skip the naive-vs-event kernel timing",
-    )
-    bench_parser.add_argument(
-        "--no-exec-comparison",
-        action="store_true",
-        help="skip the dual-vs-replay execution timing",
-    )
-    bench_parser.add_argument(
-        "--no-telemetry-comparison",
-        action="store_true",
-        help="skip the telemetry-off-vs-armed timing and bit-identity check",
-    )
-    bench_parser.add_argument(
-        "--no-directory-scenario",
-        action="store_true",
-        help="skip the many-pair directory-backend scenario",
-    )
-    bench_parser.add_argument(
-        "--no-protection-scenario",
-        action="store_true",
-        help="skip the per-policy protection throughput scenario",
+        help="diff two BENCH_*.json reports (every rate and speedup both "
+        "hold, new/old) instead of running the bench",
     )
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke run: one phase at reduced windows, single memory-bound "
-        "kernel artifact, compute-bound execution comparison only "
+        help="smoke run at reduced windows: fig5 plus every non-phase entry, "
+        "kernel and execution comparisons on their first workload only "
         "(finishes in seconds)",
     )
     bench_parser.set_defaults(func=cmd_bench)

@@ -1,12 +1,15 @@
 """Performance benchmarking: the `repro bench` report.
 
-Times every paper artifact's sample sweep at a chosen scale, reports
-wall time and simulated cycles per second per phase, and runs a
-naive-vs-event kernel comparison on memory-latency-dominated workloads
-(where cycle skipping pays most).  The report is written as
-``BENCH_<date>.json`` so the repository tracks its performance
-trajectory PR over PR, and an old report can serve as a regression
-baseline (see :func:`check_regression`).
+Times every paper artifact's sample sweep at a chosen scale, and runs a
+registry of comparison scenarios and micros alongside: naive vs. event
+kernel, dual vs. replay execution, telemetry off vs. armed, a many-pair
+directory run, per-policy protection throughput, and the retire-gate and
+cache-backend micros.  Every measurement is one :class:`Row` —
+``scenario, name, metric, value, unit, gate`` — and the row's gate kind
+says what :func:`check_regression` enforces on it, so a new measurement
+adds rows, not code.  The report is written as ``BENCH_<date>.json`` so
+the repository tracks its performance trajectory PR over PR, and an old
+report can serve as a regression baseline.
 
 Benchmark runs always bypass the persistent result cache — a timing of a
 cache hit would say nothing about the simulator.
@@ -20,17 +23,18 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import date
+from functools import partial
 
 from repro.sim.config import Mode
 
 #: Bump when the JSON layout changes incompatibly.
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 
 #: A committed baseline (see ``benchmarks/bench_baseline.json``) fails
-#: the check when any phase's throughput drops below 1/REGRESSION_FACTOR
-#: of its recorded value.  Loose on purpose: CI machines vary widely,
-#: and the check should catch accidental algorithmic regressions
-#: (an O(n) retire loop, a lost horizon), not scheduler noise.
+#: the check when any ``floor`` row drops below 1/REGRESSION_FACTOR of
+#: its recorded value.  Loose on purpose: CI machines vary widely, and
+#: the check should catch accidental algorithmic regressions (an O(n)
+#: retire loop, a lost horizon), not scheduler noise.
 REGRESSION_FACTOR = 3.0
 
 #: Replay execution must stay within 5% of dual on every exec-comparison
@@ -44,158 +48,65 @@ REPLAY_SPEEDUP_FLOOR = 0.95
 #: (min-of-repeats damps scheduler noise; see run_telemetry_comparison).
 TELEMETRY_OVERHEAD_FACTOR = 1.10
 
+#: Gate kinds a :class:`Row` can carry (``None`` means report only):
+#:
+#: * ``floor`` — fails below the baseline's value / REGRESSION_FACTOR;
+#:   a row missing from the baseline is ignored.
+#: * ``identity`` — must be true (bit-identity and no-allocation contracts).
+#: * ``min:B`` / ``max:B`` — an absolute bound ``B``, no baseline needed.
+#: * ``ordering`` — within one scenario and metric, no row may exceed the
+#:   ordering row listed before it (runners list them highest first).
+FLOOR = "floor"
+IDENTITY = "identity"
+ORDERING = "ordering"
+
 
 @dataclass
-class PhaseResult:
-    """Wall-clock timing of one artifact's full sample sweep."""
+class Row:
+    """One measurement: ``value`` of ``metric`` for ``name`` in ``scenario``."""
 
+    scenario: str
     name: str
-    wall_s: float
-    cycles: int  # simulated system cycles across all samples
-    samples: int
-    cycles_per_s: float
+    metric: str
+    value: float | int | bool
+    unit: str
+    gate: str | None = None
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return (self.scenario, self.name, self.metric)
 
 
-@dataclass
-class KernelComparison:
-    """Naive vs. event kernel on one memory-bound workload."""
+#: Render section titles, by scenario.
+TITLES = {
+    "phase": "paper phases (full sample sweep, cache bypassed)",
+    "kernel": "kernel comparison (naive vs. event, per-sample wall time)",
+    "exec": "execution comparison (dual vs. replay, single Reunion pair)",
+    "telemetry": "telemetry comparison (off vs. armed, min-of-repeats wall time)",
+    "directory": "directory scenario (many-pair Reunion on home-node directories)",
+    "protection": "protection scenario (policy throughput, compute-bound pair)",
+    "retire-gate": "retire-gate micro (bare offer/pop loop, gate machinery only)",
+    "cache": "cache-backend micro (result-store put/get, throwaway root)",
+}
 
-    name: str
-    naive_wall_s: float
-    event_wall_s: float
-    speedup: float
-    cycles: int
-    identical: bool  # Stats snapshots bit-identical between kernels
+#: Value format by unit; anything else renders as a rounded count.
+_FORMATS = {"s": "{:.3f}", "x": "{:.2f}x", "instr/cycle": "{:.3f}"}
 
-
-@dataclass
-class ExecComparison:
-    """Dual vs. replay execution on one single-pair Reunion workload.
-
-    The replay fast path — a mirror window from reset, then permanent
-    dual fallback (see :mod:`repro.core.mirror`) — pays off most where
-    redundant execution's cost is pure pipeline simulation, so the
-    headline artifact is the compute-bound kernel; the memory-bound
-    chase bounds the overhead in the fast path's worst case (its window
-    closes at the first load fetch, after which replay *is* dual).
-    ``identical`` diffs the full Stats snapshots — the bit-identity
-    contract, enforced on every bench run.
-    """
-
-    name: str
-    dual_wall_s: float
-    replay_wall_s: float
-    speedup: float
-    cycles: int
-    identical: bool
+#: Units ``compare_reports`` diffs: the rates and ratios.
+_TREND_UNITS = ("cycles/s", "ops/s", "x")
 
 
-@dataclass
-class TelemetryComparison:
-    """Telemetry off vs. armed on one Reunion workload.
-
-    ``identical`` diffs the full Stats snapshots — the telemetry
-    observe-never-mutate contract.  ``overhead`` is armed/off wall time
-    (min over repeats on each side), gated by
-    :data:`TELEMETRY_OVERHEAD_FACTOR` in :func:`check_regression`.
-    """
-
-    name: str
-    off_wall_s: float
-    armed_wall_s: float
-    overhead: float
-    cycles: int
-    events: int  # total records emitted by the armed run
-    identical: bool
+def _format(value, unit: str) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    return _FORMATS.get(unit, "{:,.0f}").format(value)
 
 
-@dataclass
-class DirectoryScenario:
-    """A many-pair Reunion run on the directory backend.
-
-    Exercises the regime the snoopy bus cannot reach — ``pairs``
-    vocal/mute pairs over banked home-node directories — end to end, and
-    records the Reunion-visible outcomes (recoveries, synchronizing
-    requests, phantom reads) alongside throughput so the report shows
-    the backend actually carrying redundant execution, not just booting.
-    """
-
-    name: str
-    pairs: int
-    wall_s: float
-    cycles: int
-    cycles_per_s: float
-    recoveries: int
-    sync_requests: int
-    phantom_reads: int
-    #: Total mirrored cycles across all pairs (replay execution is the
-    #: default even at MANYCORE scale: every pair arms a window from
-    #: reset and exits it at its first load fetch).  Zero would mean the
-    #: fast path silently stopped arming on many-pair systems.
-    mirror_cycles: int = 0
-
-
-@dataclass
-class ProtectionScenario:
-    """One Reunion pair under one protection policy, fixed cycle window.
-
-    The per-pair policy API trades coverage for throughput; this
-    scenario pins the throughput half of that trade on the compute-bound
-    kernel, where the check stage is the bottleneck and the policies
-    separate most.  ``sim_ipc`` (vocal user instructions retired per
-    simulated cycle) is deterministic, so :func:`check_regression`
-    asserts the structural ordering — ``unprotected`` >=
-    ``interval-sampled`` >= ``full`` >= ``little-mute`` — exactly, and
-    floors ``cycles_per_s`` against the baseline like any phase.
-    """
-
-    name: str  # the policy spec (ProtectionPolicy.describe())
-    wall_s: float
-    cycles: int  # simulated cycles in the timed window
-    cycles_per_s: float
-    retired: int  # vocal user instructions retired
-    sim_ipc: float
-    unchecked_intervals: int
-
-
-@dataclass
-class RetireGateMicro:
-    """Throughput of the retire-gate offer/pop path, gate machinery only.
-
-    ``pop_retirable`` sits on the per-cycle retire path and hands back a
-    reused per-gate scratch buffer instead of allocating a fresh list.
-    ``scratch_reused`` pins that contract (the pop must return the *same*
-    list object every call); ``ops_per_s`` is the instruction throughput
-    of a bare offer→pop loop, floored against the baseline in
-    :func:`check_regression` exactly like the phase sweeps.
-    """
-
-    name: str
-    ops: int  # instructions pushed through offer -> pop
-    wall_s: float
-    ops_per_s: float
-    scratch_reused: bool
-
-
-@dataclass
-class CacheBackendMicro:
-    """Put/get throughput of one result-cache storage backend.
-
-    Both backends (sharded JSON, sqlite-WAL) store identical records
-    under identical keys; this micro measures the storage cost of that
-    equivalence on a throwaway store — ``puts_per_s`` covers the
-    write-through path (serialize + atomic publish), ``gets_per_s`` the
-    hit path (read + schema gate + decode).  Floored against the
-    baseline like every other micro, so a backend can't quietly become
-    pathological (a lost WAL pragma, a fsync-per-record regression).
-    """
-
-    backend: str
-    ops: int  # records written (and then read back)
-    put_wall_s: float
-    get_wall_s: float
-    puts_per_s: float
-    gets_per_s: float
+def _group(rows, key) -> dict[str, list[Row]]:
+    groups: dict[str, list[Row]] = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return groups
 
 
 @dataclass
@@ -205,15 +116,8 @@ class BenchReport:
     date: str
     scale: str
     jobs: int
-    phases: list[PhaseResult] = field(default_factory=list)
-    kernel_comparison: list[KernelComparison] = field(default_factory=list)
-    exec_comparison: list[ExecComparison] = field(default_factory=list)
-    telemetry_comparison: list[TelemetryComparison] = field(default_factory=list)
-    directory_scenario: list[DirectoryScenario] = field(default_factory=list)
-    protection_scenario: list[ProtectionScenario] = field(default_factory=list)
-    micro: list[RetireGateMicro] = field(default_factory=list)
-    cache_micro: list[CacheBackendMicro] = field(default_factory=list)
-    #: Wall seconds by bench component (see repro.obs.profile.Profiler).
+    rows: list[Row] = field(default_factory=list)
+    #: Wall seconds by bench entry (see repro.obs.profile.Profiler).
     profile: dict[str, float] = field(default_factory=dict)
     schema: int = BENCH_SCHEMA
 
@@ -225,38 +129,23 @@ class BenchReport:
         return cls(
             date=payload["date"],
             scale=payload["scale"],
-            jobs=payload.get("jobs", 1),
-            phases=[PhaseResult(**p) for p in payload.get("phases", [])],
-            kernel_comparison=[
-                KernelComparison(**c) for c in payload.get("kernel_comparison", [])
-            ],
-            exec_comparison=[
-                ExecComparison(**c) for c in payload.get("exec_comparison", [])
-            ],
-            telemetry_comparison=[
-                TelemetryComparison(**c)
-                for c in payload.get("telemetry_comparison", [])
-            ],
-            directory_scenario=[
-                DirectoryScenario(**s)
-                for s in payload.get("directory_scenario", [])
-            ],
-            protection_scenario=[
-                ProtectionScenario(**s)
-                for s in payload.get("protection_scenario", [])
-            ],
-            micro=[RetireGateMicro(**m) for m in payload.get("micro", [])],
-            cache_micro=[
-                CacheBackendMicro(**m) for m in payload.get("cache_micro", [])
-            ],
-            profile=payload.get("profile", {}),
-            schema=payload.get("schema", BENCH_SCHEMA),
+            jobs=payload["jobs"],
+            rows=[Row(**row) for row in payload["rows"]],
+            profile=payload["profile"],
+            schema=payload["schema"],
         )
 
     @classmethod
     def load(cls, path: str) -> "BenchReport":
         with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+            payload = json.load(handle)
+        schema = payload.get("schema")
+        if schema != BENCH_SCHEMA:
+            raise ValueError(
+                f"{path}: bench report schema {schema!r}; this version reads "
+                f"schema {BENCH_SCHEMA} only"
+            )
+        return cls.from_dict(payload)
 
     def write(self, out_dir: str = ".") -> str:
         path = os.path.join(out_dir, f"BENCH_{self.date}.json")
@@ -266,202 +155,156 @@ class BenchReport:
         return path
 
     def render(self) -> str:
-        lines = [
-            f"repro bench — scale={self.scale} jobs={self.jobs} ({self.date})",
-            "",
-            f"{'phase':<12}{'wall s':>10}{'cycles':>14}{'cycles/s':>14}",
-            "-" * 50,
-        ]
-        for phase in self.phases:
-            lines.append(
-                f"{phase.name:<12}{phase.wall_s:>10.2f}{phase.cycles:>14,}"
-                f"{phase.cycles_per_s:>14,.0f}"
-            )
-        if self.kernel_comparison:
+        """One table per scenario: a line per name, a column per metric."""
+        lines = [f"repro bench — scale={self.scale} jobs={self.jobs} ({self.date})"]
+        for scenario, rows in _group(self.rows, lambda row: row.scenario).items():
+            metrics = list(dict.fromkeys(row.metric for row in rows))
+            by_name = _group(rows, lambda row: row.name)
+            width = max(len(name) for name in by_name) + 2
+            cols = [max(len(metric) + 2, 10) for metric in metrics]
             lines += [
                 "",
-                "kernel comparison (naive vs. event, per-sample wall time):",
-                f"{'artifact':<28}{'naive s':>10}{'event s':>10}{'speedup':>9}{'identical':>11}",
-                "-" * 68,
+                f"{TITLES[scenario]}:",
+                f"{'name':<{width}}"
+                + "".join(f"{metric:>{col}}" for metric, col in zip(metrics, cols)),
+                "-" * (width + sum(cols)),
             ]
-            for cmp_ in self.kernel_comparison:
+            for name, cells in by_name.items():
+                text = {row.metric: _format(row.value, row.unit) for row in cells}
                 lines.append(
-                    f"{cmp_.name:<28}{cmp_.naive_wall_s:>10.3f}{cmp_.event_wall_s:>10.3f}"
-                    f"{cmp_.speedup:>8.2f}x{'yes' if cmp_.identical else 'NO':>11}"
-                )
-        if self.exec_comparison:
-            lines += [
-                "",
-                "execution comparison (dual vs. replay, single Reunion pair):",
-                f"{'artifact':<28}{'dual s':>10}{'replay s':>10}{'speedup':>9}{'identical':>11}",
-                "-" * 68,
-            ]
-            for cmp_ in self.exec_comparison:
-                lines.append(
-                    f"{cmp_.name:<28}{cmp_.dual_wall_s:>10.3f}{cmp_.replay_wall_s:>10.3f}"
-                    f"{cmp_.speedup:>8.2f}x{'yes' if cmp_.identical else 'NO':>11}"
-                )
-        if self.telemetry_comparison:
-            lines += [
-                "",
-                "telemetry comparison (off vs. armed, min-of-repeats wall time):",
-                f"{'artifact':<28}{'off s':>10}{'armed s':>10}{'overhead':>9}"
-                f"{'events':>9}{'identical':>11}",
-                "-" * 77,
-            ]
-            for cmp_ in self.telemetry_comparison:
-                lines.append(
-                    f"{cmp_.name:<28}{cmp_.off_wall_s:>10.3f}{cmp_.armed_wall_s:>10.3f}"
-                    f"{cmp_.overhead:>8.2f}x{cmp_.events:>9,}"
-                    f"{'yes' if cmp_.identical else 'NO':>11}"
-                )
-        if self.directory_scenario:
-            lines += [
-                "",
-                "directory scenario (many-pair Reunion on home-node directories):",
-                f"{'artifact':<28}{'pairs':>6}{'wall s':>10}{'cycles/s':>12}"
-                f"{'recov':>7}{'sync':>7}{'phantom':>9}{'mirror':>8}",
-                "-" * 79,
-            ]
-            for sc in self.directory_scenario:
-                lines.append(
-                    f"{sc.name:<28}{sc.pairs:>6}{sc.wall_s:>10.3f}"
-                    f"{sc.cycles_per_s:>12,.0f}{sc.recoveries:>7}"
-                    f"{sc.sync_requests:>7}{sc.phantom_reads:>9,}"
-                    f"{sc.mirror_cycles:>8,}"
-                )
-        if self.protection_scenario:
-            lines += [
-                "",
-                "protection scenario (policy throughput, compute-bound pair):",
-                f"{'policy':<28}{'wall s':>10}{'cycles/s':>12}{'retired':>10}"
-                f"{'sim IPC':>9}{'uncheck':>9}",
-                "-" * 78,
-            ]
-            for sc in self.protection_scenario:
-                lines.append(
-                    f"{sc.name:<28}{sc.wall_s:>10.3f}{sc.cycles_per_s:>12,.0f}"
-                    f"{sc.retired:>10,}{sc.sim_ipc:>9.3f}"
-                    f"{sc.unchecked_intervals:>9,}"
-                )
-        if self.micro:
-            lines += [
-                "",
-                "retire-gate micro (bare offer/pop loop, gate machinery only):",
-                f"{'gate':<28}{'ops':>10}{'wall s':>10}{'ops/s':>14}{'scratch':>9}",
-                "-" * 71,
-            ]
-            for micro in self.micro:
-                lines.append(
-                    f"{micro.name:<28}{micro.ops:>10,}{micro.wall_s:>10.3f}"
-                    f"{micro.ops_per_s:>14,.0f}"
-                    f"{'reused' if micro.scratch_reused else 'ALLOC':>9}"
-                )
-        if self.cache_micro:
-            lines += [
-                "",
-                "cache-backend micro (result-store put/get, throwaway root):",
-                f"{'backend':<28}{'ops':>10}{'put/s':>12}{'get/s':>12}",
-                "-" * 62,
-            ]
-            for micro in self.cache_micro:
-                lines.append(
-                    f"{micro.backend:<28}{micro.ops:>10,}"
-                    f"{micro.puts_per_s:>12,.0f}{micro.gets_per_s:>12,.0f}"
+                    f"{name:<{width}}"
+                    + "".join(
+                        f"{text.get(metric, '-'):>{col}}"
+                        for metric, col in zip(metrics, cols)
+                    )
                 )
         if self.profile:
-            lines += ["", "profile (wall seconds by bench component):"]
+            lines += ["", "profile (wall seconds by bench entry):"]
             width = max(len(name) for name in self.profile)
             for name in sorted(self.profile):
                 lines.append(f"  {name:<{width}}  {self.profile[name]:>9.3f}")
         return "\n".join(lines)
 
 
-def _memory_bound_workloads():
-    """Workloads dominated by main-memory latency: maximal skip headroom.
+def _inputs(workload, config, seed):
+    """The programs and ITLB schedules ``CMPSystem`` needs for ``config``."""
+    return (
+        workload.programs(config.n_logical, seed),
+        workload.itlb_schedules(config.n_logical, seed),
+    )
 
-    The pointer chase's footprint is sized far past the default L1/L2 so
-    the dependent-load chain misses all the way to memory; `em3d` is the
-    paper suite's irregular-graph memory-latency workload.
+
+def _timed_run(config, inputs, options, cycles: int, repeats: int = 1):
+    """Time ``run(cycles)`` on ``repeats`` fresh systems.
+
+    Construction (program install, wiring) stays outside the timed
+    section.  Returns the minimum wall time, the last system and its
+    Stats snapshot.
     """
-    from repro.workloads.micro import PointerChase
-    from repro.workloads.scientific import Em3d
+    from repro.sim.cmp import CMPSystem
 
+    wall = math.inf
+    for _ in range(repeats):
+        system = CMPSystem(config, *inputs, options=options)
+        start = time.perf_counter()
+        system.run(cycles)
+        wall = min(wall, time.perf_counter() - start)
+    return wall, system, dict(system.collect_stats().snapshot())
+
+
+def run_phase(name: str, scale, jobs: int) -> list[Row]:
+    """Time one paper artifact's full sample sweep, cache bypassed."""
+    from repro import harness
+
+    plans = {
+        "fig5": harness.plan_fig5,
+        "fig6a": lambda s: harness.plan_fig6(Mode.STRICT, s),
+        "fig6b": lambda s: harness.plan_fig6(Mode.REUNION, s),
+        "table3": harness.plan_table3,
+        "fig7a": harness.plan_fig7a,
+        "fig7b": harness.plan_fig7b,
+        "sc": harness.plan_sc_comparison,
+    }
+    requests = plans[name](scale)
+    samples = len(requests) * len(scale.seeds)
+    # A fresh uncached runner per phase: time the simulator, not the
+    # cache, and don't let phases share the baseline samples.
+    runner = harness.Runner(scale, cache=None)
+    start = time.perf_counter()
+    runner.prefetch(requests, jobs=jobs)
+    wall = time.perf_counter() - start
+    cycles = samples * (scale.warmup + scale.measure)
+    row = partial(Row, "phase", name)
     return [
-        ("mem-chase", PointerChase(nodes=16384)),
-        ("em3d", Em3d()),
+        row("wall_s", wall, "s"),
+        row("cycles", cycles, "cycles"),
+        row("samples", samples, "count"),
+        row("cycles_per_s", cycles / wall if wall else 0.0, "cycles/s", FLOOR),
     ]
 
 
-def run_kernel_comparison(scale, modes=(Mode.NONREDUNDANT, Mode.REUNION)) -> list[KernelComparison]:
+def run_kernel_comparison(scale, quick: bool = False) -> list[Row]:
     """Time identical simulations under both kernels; verify bit-identity.
 
-    Builds each system outside the timed section (program generation and
-    image install are kernel-independent fixed costs) and times only the
-    ``run`` windows.  The returned comparisons double as a correctness
-    check: ``identical`` diffs the full Stats snapshots.
+    Runs on memory-latency-dominated workloads, where cycle skipping has
+    maximal headroom: a pointer chase whose footprint is sized far past
+    the default L1/L2 so the dependent-load chain misses all the way to
+    memory, and (unless ``quick``) `em3d`, the paper suite's
+    irregular-graph memory-latency workload.  The ``identical`` rows
+    double as a correctness check: they diff the full Stats snapshots.
     """
-    return _compare_kernels_on(scale, _memory_bound_workloads(), modes)
-
-
-def _compare_kernels_on(
-    scale, workloads, modes=(Mode.NONREDUNDANT, Mode.REUNION)
-) -> list[KernelComparison]:
-    from repro.sim.cmp import CMPSystem
     from repro.sim.options import SimOptions
+    from repro.workloads.micro import PointerChase
+    from repro.workloads.scientific import Em3d
 
-    comparisons: list[KernelComparison] = []
+    workloads = [("mem-chase", PointerChase(nodes=16384))]
+    if not quick:
+        workloads.append(("em3d", Em3d()))
+    rows: list[Row] = []
     seed = scale.seeds[0]
     cycles = scale.warmup + scale.measure
     for name, workload in workloads:
-        for mode in modes:
+        for mode in (Mode.NONREDUNDANT, Mode.REUNION):
             # One logical processor: a many-core system's cores
             # desynchronize, pulling the minimum horizon toward "now"
             # and measuring contention instead of memory latency.
             config = scale.config.replace(n_logical=1).with_redundancy(mode=mode)
-            programs = workload.programs(config.n_logical, seed)
-            schedules = workload.itlb_schedules(config.n_logical, seed)
-            results = {}
-            for kernel in ("naive", "event"):
-                system = CMPSystem(
-                    config, programs, schedules, options=SimOptions(kernel=kernel)
-                )
-                start = time.perf_counter()
-                system.run(scale.warmup)
-                system.run(scale.measure)
-                wall = time.perf_counter() - start
-                results[kernel] = (wall, dict(system.collect_stats().snapshot()))
-            naive_wall, naive_stats = results["naive"]
-            event_wall, event_stats = results["event"]
-            comparisons.append(
-                KernelComparison(
-                    name=f"{name}/{mode.value}",
-                    naive_wall_s=naive_wall,
-                    event_wall_s=event_wall,
-                    speedup=naive_wall / event_wall if event_wall else 0.0,
-                    cycles=cycles,
-                    identical=naive_stats == event_stats,
-                )
+            inputs = _inputs(workload, config, seed)
+            naive_wall, _, naive_stats = _timed_run(
+                config, inputs, SimOptions(kernel="naive"), cycles
             )
-    return comparisons
+            event_wall, _, event_stats = _timed_run(
+                config, inputs, SimOptions(kernel="event"), cycles
+            )
+            row = partial(Row, "kernel", f"{name}/{mode.value}")
+            rows += [
+                row("naive_wall_s", naive_wall, "s"),
+                row("event_wall_s", event_wall, "s"),
+                row("speedup", naive_wall / event_wall if event_wall else 0.0, "x"),
+                row("cycles", cycles, "cycles"),
+                row("identical", naive_stats == event_stats, "bool", IDENTITY),
+            ]
+    return rows
 
 
 def run_exec_comparison(
     scale, cycles: int = 120_000, compute_only: bool = False, repeats: int = 3
-) -> list[ExecComparison]:
+) -> list[Row]:
     """Time a single Reunion pair under dual and replay execution.
 
-    The compute-bound kernel is the fast path's headline artifact (the
-    mirror window covers essentially the whole run); the memory-bound
-    chase bounds the fast path's overhead where it can barely engage.
+    The replay fast path — a mirror window from reset, then permanent
+    dual fallback (see :mod:`repro.core.mirror`) — pays off most where
+    redundant execution's cost is pure pipeline simulation, so the
+    headline artifact is the compute-bound kernel; the memory-bound
+    chase bounds the overhead in the fast path's worst case (its window
+    closes at the first load fetch, after which replay *is* dual).
     Stats snapshots are diffed to enforce the bit-identity contract.
 
     Wall times are the minimum over ``repeats`` fresh systems per side
     (the same scheduler-noise defence as the telemetry comparison): the
     memory-bound run finishes in ~0.1s, where a single timing pass can
-    swing past the replay-vs-dual floor check_regression enforces.
+    swing past the :data:`REPLAY_SPEEDUP_FLOOR` gate.
     """
-    from repro.sim.cmp import CMPSystem
     from repro.sim.options import SimOptions
     from repro.workloads.micro import ComputeKernel, PointerChase
 
@@ -469,106 +312,80 @@ def run_exec_comparison(
     if not compute_only:
         workloads.append(("mem-chase", PointerChase(nodes=16384)))
 
-    comparisons: list[ExecComparison] = []
+    rows: list[Row] = []
     seed = scale.seeds[0]
     for name, workload in workloads:
         config = scale.config.replace(n_logical=1).with_redundancy(mode=Mode.REUNION)
-        programs = workload.programs(config.n_logical, seed)
-        schedules = workload.itlb_schedules(config.n_logical, seed)
-        results = {}
-        for execution in ("dual", "replay"):
-            wall = math.inf
-            for _ in range(repeats):
-                system = CMPSystem(
-                    config,
-                    programs,
-                    schedules,
-                    options=SimOptions(kernel="event", execution=execution),
-                )
-                start = time.perf_counter()
-                system.run(cycles)
-                wall = min(wall, time.perf_counter() - start)
-            results[execution] = (wall, dict(system.collect_stats().snapshot()))
-        dual_wall, dual_stats = results["dual"]
-        replay_wall, replay_stats = results["replay"]
-        comparisons.append(
-            ExecComparison(
-                name=f"{name}/reunion",
-                dual_wall_s=dual_wall,
-                replay_wall_s=replay_wall,
-                speedup=dual_wall / replay_wall if replay_wall else 0.0,
-                cycles=cycles,
-                identical=dual_stats == replay_stats,
-            )
+        inputs = _inputs(workload, config, seed)
+        dual_wall, _, dual_stats = _timed_run(
+            config, inputs, SimOptions(execution="dual"), cycles, repeats
         )
-    return comparisons
+        replay_wall, _, replay_stats = _timed_run(
+            config, inputs, SimOptions(execution="replay"), cycles, repeats
+        )
+        row = partial(Row, "exec", f"{name}/reunion")
+        rows += [
+            row("dual_wall_s", dual_wall, "s"),
+            row("replay_wall_s", replay_wall, "s"),
+            row(
+                "speedup",
+                dual_wall / replay_wall if replay_wall else 0.0,
+                "x",
+                f"min:{REPLAY_SPEEDUP_FLOOR}",
+            ),
+            row("cycles", cycles, "cycles"),
+            row("identical", dual_stats == replay_stats, "bool", IDENTITY),
+        ]
+    return rows
 
 
 def run_telemetry_comparison(
     scale, cycles: int = 60_000, repeats: int = 3
-) -> list[TelemetryComparison]:
+) -> list[Row]:
     """Time a Reunion pair with telemetry off and armed at ``events``.
 
-    The armed run must be bit-identical (Stats diff) and nearly free:
-    :func:`check_regression` fails a baseline check when overhead
-    exceeds :data:`TELEMETRY_OVERHEAD_FACTOR`.  Wall times are the
-    minimum over ``repeats`` fresh systems per side, which is the
-    standard defence against scheduler noise on shared CI runners.
-    The memory-bound chase exercises the chatty emitters (phantom
-    reads, fingerprint compares after the mirror window exits); a
-    16-instruction fingerprint interval keeps the event rate at the
+    The armed run must be bit-identical (Stats diff — the telemetry
+    observe-never-mutate contract) and nearly free: ``overhead`` is
+    armed/off wall time, capped at :data:`TELEMETRY_OVERHEAD_FACTOR`.
+    Wall times are the minimum over ``repeats`` fresh systems per side,
+    which is the standard defence against scheduler noise on shared CI
+    runners.  The memory-bound chase exercises the chatty emitters
+    (phantom reads, fingerprint compares after the mirror window exits);
+    a 16-instruction fingerprint interval keeps the event rate at the
     realistic design point rather than the interval=1 stress corner.
     """
-    from repro.sim.cmp import CMPSystem
     from repro.sim.options import SimOptions
     from repro.workloads.micro import PointerChase
 
-    workload = PointerChase(nodes=16384)
-    seed = scale.seeds[0]
     config = (
         scale.config.replace(n_logical=1)
         .with_redundancy(mode=Mode.REUNION, fingerprint_interval=16)
     )
-    programs = workload.programs(config.n_logical, seed)
-    schedules = workload.itlb_schedules(config.n_logical, seed)
-
-    results = {}
-    for label, options in (
-        ("off", SimOptions()),
-        ("armed", SimOptions(trace="events")),
-    ):
-        best_wall = float("inf")
-        stats = None
-        emitted = 0
-        for _ in range(repeats):
-            system = CMPSystem(config, programs, schedules, options=options)
-            start = time.perf_counter()
-            system.run(cycles)
-            wall = time.perf_counter() - start
-            best_wall = min(best_wall, wall)
-            stats = dict(system.collect_stats().snapshot())
-            if system.obs is not None:
-                emitted = system.obs.log.emitted
-        results[label] = (best_wall, stats, emitted)
-
-    off_wall, off_stats, _ = results["off"]
-    armed_wall, armed_stats, events = results["armed"]
+    inputs = _inputs(PointerChase(nodes=16384), config, scale.seeds[0])
+    off_wall, _, off_stats = _timed_run(config, inputs, SimOptions(), cycles, repeats)
+    armed_wall, armed, armed_stats = _timed_run(
+        config, inputs, SimOptions(trace="events"), cycles, repeats
+    )
+    row = partial(Row, "telemetry", "mem-chase/reunion")
     return [
-        TelemetryComparison(
-            name="mem-chase/reunion",
-            off_wall_s=off_wall,
-            armed_wall_s=armed_wall,
-            overhead=armed_wall / off_wall if off_wall else 0.0,
-            cycles=cycles,
-            events=events,
-            identical=off_stats == armed_stats,
-        )
+        row("off_wall_s", off_wall, "s"),
+        row("armed_wall_s", armed_wall, "s"),
+        row(
+            "overhead",
+            armed_wall / off_wall if off_wall else 0.0,
+            "x",
+            f"max:{TELEMETRY_OVERHEAD_FACTOR}",
+        ),
+        row("cycles", cycles, "cycles"),
+        # Total records emitted by the armed run.
+        row("events", armed.obs.log.emitted, "count"),
+        row("identical", off_stats == armed_stats, "bool", IDENTITY),
     ]
 
 
 def run_directory_scenario(
     scale, pairs_list=(4,), cycles: int = 20_000
-) -> list[DirectoryScenario]:
+) -> list[Row]:
     """Run memory-bound Reunion pairs on the directory backend, end to end.
 
     One :func:`~repro.sim.config.manycore_config` system per entry in
@@ -576,46 +393,52 @@ def run_directory_scenario(
     chasing its own pointer graph so every mute miss exercises phantom
     requests and every divergence the recovery protocol, across the
     banked directories and the weighted arbiter at realistic
-    (non-degenerate) interconnect numbers.
+    (non-degenerate) interconnect numbers.  The Reunion-visible outcomes
+    (recoveries, synchronizing requests, phantom reads) are recorded
+    alongside throughput so the report shows the backend actually
+    carrying redundant execution, not just booting.
     """
-    from repro.sim.cmp import CMPSystem
     from repro.sim.config import manycore_config
     from repro.sim.options import SimOptions
     from repro.workloads.micro import PointerChase
 
     workload = PointerChase(nodes=4096)
-    seed = scale.seeds[0]
-    scenarios: list[DirectoryScenario] = []
+    rows: list[Row] = []
     for pairs in pairs_list:
         config = manycore_config(pairs)
-        programs = workload.programs(config.n_logical, seed)
-        schedules = workload.itlb_schedules(config.n_logical, seed)
-        system = CMPSystem(config, programs, schedules, options=SimOptions(kernel="event"))
-        start = time.perf_counter()
-        system.run(cycles)
-        wall = time.perf_counter() - start
-        stats = dict(system.collect_stats().snapshot())
-        phantoms = sum(
-            value for key, value in stats.items() if key.startswith("dir.phantom_")
+        inputs = _inputs(workload, config, scale.seeds[0])
+        wall, system, stats = _timed_run(
+            config, inputs, SimOptions(kernel="event"), cycles
         )
-        scenarios.append(
-            DirectoryScenario(
-                name=f"mem-chase/{pairs}-pair-dir",
-                pairs=pairs,
-                wall_s=wall,
-                cycles=cycles,
-                cycles_per_s=cycles / wall if wall else 0.0,
-                recoveries=sum(pair.recoveries for pair in system.pairs),
-                sync_requests=int(stats.get("dir.sync_requests", 0)),
-                phantom_reads=phantoms,
-                mirror_cycles=sum(pair.mirror_cycles for pair in system.pairs),
-            )
-        )
-    return scenarios
+        row = partial(Row, "directory", f"mem-chase/{pairs}-pair-dir")
+        rows += [
+            row("pairs", pairs, "count"),
+            row("wall_s", wall, "s"),
+            row("cycles", cycles, "cycles"),
+            row("cycles_per_s", cycles / wall if wall else 0.0, "cycles/s"),
+            row("recoveries", sum(pair.recoveries for pair in system.pairs), "count"),
+            row("sync_requests", int(stats.get("dir.sync_requests", 0)), "count"),
+            row(
+                "phantom_reads",
+                sum(v for k, v in stats.items() if k.startswith("dir.phantom_")),
+                "count",
+            ),
+            # Replay execution is the default even at MANYCORE scale:
+            # every pair arms a window from reset and exits it at its
+            # first load fetch.  Zero would mean the fast path silently
+            # stopped arming on many-pair systems.
+            row(
+                "mirror_cycles",
+                sum(pair.mirror_cycles for pair in system.pairs),
+                "cycles",
+                "min:1",
+            ),
+        ]
+    return rows
 
 
 #: Policies the bench scenario sweeps, fastest expected first.  The
-#: structural sim-IPC ordering check_regression enforces follows from
+#: structural sim-IPC ordering its ``ordering`` rows enforce follows from
 #: what each mode pays per interval: nothing (unprotected), half the
 #: exchanges (sampled), every exchange (full), every exchange plus a
 #: narrowed checker (little-mute).
@@ -627,52 +450,48 @@ PROTECTION_BENCH_POLICIES = (
 )
 
 
-def run_protection_scenario(
-    scale, cycles: int = 12_000
-) -> list[ProtectionScenario]:
+def run_protection_scenario(scale, cycles: int = 12_000) -> list[Row]:
     """Run one compute-bound Reunion pair per protection policy.
 
-    Fixed simulated-cycle windows, so ``retired`` (and ``sim_ipc``) is
-    a deterministic measure of each policy's throughput give-back;
+    The per-pair policy API trades coverage for throughput; this
+    scenario pins the throughput half of that trade on the compute-bound
+    kernel, where the check stage is the bottleneck and the policies
+    separate most.  Fixed simulated-cycle windows make ``retired`` and
+    ``sim_ipc`` (vocal user instructions per simulated cycle)
+    deterministic, so the ``sim_ipc`` ordering is asserted exactly;
     ``cycles_per_s`` times the host, floored against the baseline.
     """
-    from repro.sim.cmp import CMPSystem
     from repro.sim.config import parse_policy
     from repro.sim.options import SimOptions
     from repro.workloads.micro import ComputeKernel
 
-    workload = ComputeKernel()
-    seed = scale.seeds[0]
     base = scale.config.replace(n_logical=1).with_redundancy(mode=Mode.REUNION)
-    programs = workload.programs(base.n_logical, seed)
-    schedules = workload.itlb_schedules(base.n_logical, seed)
-    scenarios: list[ProtectionScenario] = []
+    inputs = _inputs(ComputeKernel(), base, scale.seeds[0])
+    rows: list[Row] = []
     for spec in PROTECTION_BENCH_POLICIES:
         config = base.with_protection(parse_policy(spec))
-        system = CMPSystem(
-            config, programs, schedules, options=SimOptions(kernel="event")
+        wall, system, _ = _timed_run(
+            config, inputs, SimOptions(kernel="event"), cycles
         )
-        start = time.perf_counter()
-        system.run(cycles)
-        wall = time.perf_counter() - start
         vocal = system.vocal_cores[0]
-        scenarios.append(
-            ProtectionScenario(
-                name=spec,
-                wall_s=wall,
-                cycles=cycles,
-                cycles_per_s=cycles / wall if wall else 0.0,
-                retired=vocal.user_retired,
-                sim_ipc=vocal.user_retired / cycles if cycles else 0.0,
-                unchecked_intervals=vocal.gate.intervals_unchecked,
-            )
-        )
-    return scenarios
+        row = partial(Row, "protection", spec)
+        rows += [
+            row("wall_s", wall, "s"),
+            row("cycles", cycles, "cycles"),
+            row("cycles_per_s", cycles / wall if wall else 0.0, "cycles/s", FLOOR),
+            row("retired", vocal.user_retired, "instr"),
+            row(
+                "sim_ipc",
+                vocal.user_retired / cycles if cycles else 0.0,
+                "instr/cycle",
+                ORDERING,
+            ),
+            row("unchecked_intervals", vocal.gate.intervals_unchecked, "count"),
+        ]
+    return rows
 
 
-def run_retire_gate_micro(
-    cycles: int = 30_000, width: int = 4
-) -> list[RetireGateMicro]:
+def run_retire_gate_micro(cycles: int = 30_000, width: int = 4) -> list[Row]:
     """Time the retire-gate offer/pop path in isolation.
 
     The retire loop pops the gate every cycle it has work, so
@@ -681,7 +500,8 @@ def run_retire_gate_micro(
     the strict check gate (fingerprint close + self-compare + latency
     queue — the full check-stage data path without needing a partner
     core) over a real core's ring columns with a recycled pool of
-    completed slots, and pins the scratch-buffer contract: the pop must
+    completed slots.  ``ops_per_s`` is floored against the baseline;
+    ``scratch_reused`` pins the scratch-buffer contract: the pop must
     hand back the *same* list object every call, never a fresh
     allocation.
     """
@@ -711,7 +531,7 @@ def run_retire_gate_micro(
             ),
         ),
     ]
-    results: list[RetireGateMicro] = []
+    rows: list[Row] = []
     for name, gate in gates:
         config = DEFAULT_CONFIG
         stats = Stats()
@@ -749,27 +569,28 @@ def run_retire_gate_micro(
             popped += len(out)
             free.extend(out)  # packed refs; the offer masks them to slots
         wall = time.perf_counter() - start
-        results.append(
-            RetireGateMicro(
-                name=name,
-                ops=popped,
-                wall_s=wall,
-                ops_per_s=popped / wall if wall else 0.0,
-                scratch_reused=scratch_reused,
-            )
-        )
-    return results
+        row = partial(Row, "retire-gate", name)
+        rows += [
+            row("ops", popped, "instr"),
+            row("wall_s", wall, "s"),
+            row("ops_per_s", popped / wall if wall else 0.0, "ops/s", FLOOR),
+            row("scratch_reused", scratch_reused, "bool", IDENTITY),
+        ]
+    return rows
 
 
-def run_cache_backend_micro(records: int = 400) -> list[CacheBackendMicro]:
+def run_cache_backend_micro(records: int = 400) -> list[Row]:
     """Time put/get throughput of both cache storage backends.
 
-    Writes ``records`` distinct sample records through each backend on a
-    throwaway root, then reads them all back as hits.  The job set and
-    record contents are identical across backends, so the numbers
-    isolate storage cost: JSON pays a file create + atomic rename per
-    put, sqlite a WAL append — and the get sides pay a file open/parse
-    versus an indexed row lookup.
+    Both backends (sharded JSON, sqlite-WAL) store identical records
+    under identical keys; this micro writes ``records`` distinct sample
+    records through each on a throwaway root, then reads them all back
+    as hits, so the numbers isolate storage cost: JSON pays a file
+    create + atomic rename per put, sqlite a WAL append — and the get
+    sides pay a file open/parse versus an indexed row lookup.  Both
+    rates are floored against the baseline, so a backend can't quietly
+    become pathological (a lost WAL pragma, a fsync-per-record
+    regression).
     """
     import tempfile
 
@@ -797,7 +618,7 @@ def run_cache_backend_micro(records: int = 400) -> list[CacheBackendMicro]:
         sync_requests=3,
         serializing=1,
     )
-    results: list[CacheBackendMicro] = []
+    rows: list[Row] = []
     for kind in BACKEND_KINDS:
         with tempfile.TemporaryDirectory(prefix=f"bench-cache-{kind}-") as root:
             cache = ResultCache(root, backend=kind)
@@ -813,140 +634,93 @@ def run_cache_backend_micro(records: int = 400) -> list[CacheBackendMicro]:
             close = getattr(cache.backend, "close", None)
             if close is not None:
                 close()
-        results.append(
-            CacheBackendMicro(
-                backend=kind,
-                ops=records,
-                put_wall_s=put_wall,
-                get_wall_s=get_wall,
-                puts_per_s=records / put_wall if put_wall else 0.0,
-                gets_per_s=records / get_wall if get_wall else 0.0,
-            )
-        )
-    return results
+        row = partial(Row, "cache", kind)
+        rows += [
+            row("ops", records, "count"),
+            row("put_wall_s", put_wall, "s"),
+            row("get_wall_s", get_wall, "s"),
+            row("puts_per_s", records / put_wall if put_wall else 0.0, "ops/s", FLOOR),
+            row("gets_per_s", records / get_wall if get_wall else 0.0, "ops/s", FLOOR),
+        ]
+    return rows
+
+
+#: The paper artifacts, each timed as a full sample sweep.
+PHASES = ("fig5", "fig6a", "fig6b", "table3", "fig7a", "fig7b", "sc")
+
+
+def _phase_entry(name: str):
+    return lambda scale, jobs, quick: run_phase(name, scale, jobs)
+
+
+#: Every bench entry ``--only`` can pick: name -> runner(scale, jobs,
+#: quick) -> rows.  ``quick`` shrinks each entry's window (and the kernel
+#: and execution comparisons to their first workload) so a smoke run
+#: finishes in seconds while still exercising every gate.
+SCENARIOS = {
+    **{name: _phase_entry(name) for name in PHASES},
+    "kernel": lambda scale, jobs, quick: run_kernel_comparison(scale, quick=quick),
+    "exec": lambda scale, jobs, quick: run_exec_comparison(
+        scale, cycles=30_000 if quick else 120_000, compute_only=quick
+    ),
+    "telemetry": lambda scale, jobs, quick: run_telemetry_comparison(
+        scale, cycles=20_000 if quick else 60_000
+    ),
+    "directory": lambda scale, jobs, quick: run_directory_scenario(
+        scale,
+        pairs_list=(4,) if quick else (4, 8),
+        cycles=6_000 if quick else 20_000,
+    ),
+    "protection": lambda scale, jobs, quick: run_protection_scenario(
+        scale, cycles=4_000 if quick else 12_000
+    ),
+    "retire-gate": lambda scale, jobs, quick: run_retire_gate_micro(
+        cycles=6_000 if quick else 30_000
+    ),
+    "cache": lambda scale, jobs, quick: run_cache_backend_micro(
+        records=100 if quick else 400
+    ),
+}
 
 
 def run_bench(
     scale_name: str = "quick",
     jobs: int = 1,
     only: list[str] | None = None,
-    compare_kernels: bool = True,
-    compare_exec: bool = True,
-    compare_telemetry: bool = True,
-    directory_scenario: bool = True,
-    protection_scenario: bool = True,
     quick: bool = False,
 ) -> BenchReport:
-    """Time every artifact's sample sweep; return the filled report.
+    """Run the selected :data:`SCENARIOS` entries; return the filled report.
 
-    ``quick`` is the smoke-run mode for CI and local sanity checks: one
-    phase at sharply reduced warmup/measure windows, the kernel
-    comparison on the single cheapest memory-bound artifact, and the
-    execution comparison on the compute-bound kernel only — finishing in
-    seconds instead of minutes while still exercising every comparison's
-    bit-identity check (and the baseline throughput floor for the one
-    phase it shares with a full report).
+    ``only`` names the entries to run; by default every entry runs.
+    ``quick`` is the smoke-run mode for CI and local sanity checks:
+    sharply reduced warmup/measure windows, and by default only the
+    fig5 phase plus every non-phase entry.
     """
     import dataclasses
 
-    from repro.harness import (
-        Runner,
-        plan_fig5,
-        plan_fig6,
-        plan_fig7a,
-        plan_fig7b,
-        plan_sc_comparison,
-        plan_table3,
-        scale_by_name,
-    )
+    from repro.harness import scale_by_name
+    from repro.obs.profile import Profiler
 
     scale = scale_by_name(scale_name)
     if quick:
         scale = dataclasses.replace(scale, warmup=300, measure=800)
-    plans = {
-        "fig5": lambda: plan_fig5(scale),
-        "fig6a": lambda: plan_fig6(Mode.STRICT, scale),
-        "fig6b": lambda: plan_fig6(Mode.REUNION, scale),
-        "table3": lambda: plan_table3(scale),
-        "fig7a": lambda: plan_fig7a(scale),
-        "fig7b": lambda: plan_fig7b(scale),
-        "sc": lambda: plan_sc_comparison(scale),
-    }
-    selected = only or (["fig5"] if quick else list(plans))
-    unknown = [name for name in selected if name not in plans]
+    if only:
+        selected = only
+    elif quick:
+        selected = ["fig5"] + [name for name in SCENARIOS if name not in PHASES]
+    else:
+        selected = list(SCENARIOS)
+    unknown = [name for name in selected if name not in SCENARIOS]
     if unknown:
-        raise ValueError(f"unknown bench phases {unknown}; pick from {sorted(plans)}")
-
-    from repro.obs.profile import Profiler
+        raise ValueError(
+            f"unknown bench scenarios {unknown}; pick from {list(SCENARIOS)}"
+        )
 
     profiler = Profiler()
-    report = BenchReport(
-        date=date.today().isoformat(), scale=scale.name, jobs=jobs
-    )
-    cycles_per_sample = scale.warmup + scale.measure
+    report = BenchReport(date=date.today().isoformat(), scale=scale.name, jobs=jobs)
     for name in selected:
-        requests = plans[name]()
-        samples = len(requests) * len(scale.seeds)
-        # A fresh uncached runner per phase: time the simulator, not the
-        # cache, and don't let phases share the baseline samples.
-        runner = Runner(scale, cache=None)
-        start = time.perf_counter()
-        with profiler.section(f"sweep.{name}"):
-            runner.prefetch(requests, jobs=jobs)
-        wall = time.perf_counter() - start
-        cycles = samples * cycles_per_sample
-        report.phases.append(
-            PhaseResult(
-                name=name,
-                wall_s=wall,
-                cycles=cycles,
-                samples=samples,
-                cycles_per_s=cycles / wall if wall else 0.0,
-            )
-        )
-    if compare_kernels:
-        with profiler.section("compare.kernels"):
-            if quick:
-                from repro.workloads.micro import PointerChase
-
-                report.kernel_comparison = _compare_kernels_on(
-                    scale, [("mem-chase", PointerChase(nodes=16384))]
-                )
-            else:
-                report.kernel_comparison = run_kernel_comparison(scale)
-    if compare_exec:
-        with profiler.section("compare.exec"):
-            report.exec_comparison = run_exec_comparison(
-                scale,
-                cycles=30_000 if quick else 120_000,
-                compute_only=quick,
-            )
-    if compare_telemetry:
-        with profiler.section("compare.telemetry"):
-            report.telemetry_comparison = run_telemetry_comparison(
-                scale,
-                cycles=20_000 if quick else 60_000,
-            )
-    if directory_scenario:
-        with profiler.section("directory.scenario"):
-            report.directory_scenario = run_directory_scenario(
-                scale,
-                pairs_list=(4,) if quick else (4, 8),
-                cycles=6_000 if quick else 20_000,
-            )
-    if protection_scenario:
-        with profiler.section("protection.scenario"):
-            report.protection_scenario = run_protection_scenario(
-                scale, cycles=4_000 if quick else 12_000
-            )
-    with profiler.section("micro.retire_gate"):
-        report.micro = run_retire_gate_micro(
-            cycles=6_000 if quick else 30_000
-        )
-    with profiler.section("micro.cache_backend"):
-        report.cache_micro = run_cache_backend_micro(
-            records=100 if quick else 400
-        )
+        with profiler.section(name):
+            report.rows += SCENARIOS[name](scale, jobs, quick)
     report.profile = profiler.snapshot()
     return report
 
@@ -956,120 +730,57 @@ def check_regression(
     baseline: BenchReport,
     factor: float = REGRESSION_FACTOR,
 ) -> list[str]:
-    """Compare phase throughput against a baseline report.
+    """Enforce every gated row of ``current``; see the gate kinds above.
 
-    Returns a list of human-readable problems (empty = pass).  Phases
-    present in only one report are ignored — the baseline is a floor for
-    what both runs measured, not a schema lock.  A kernel comparison
-    whose outputs were not bit-identical is always a failure.
+    Returns a list of human-readable problems (empty = pass).  Only
+    ``floor`` rows consult the baseline, and a row the baseline lacks is
+    ignored — the baseline is a floor for what both runs measured, not a
+    schema lock.
     """
     problems: list[str] = []
-    baseline_phases = {phase.name: phase for phase in baseline.phases}
-    for phase in current.phases:
-        base = baseline_phases.get(phase.name)
-        if base is None or base.cycles_per_s <= 0:
-            continue
-        floor = base.cycles_per_s / factor
-        if phase.cycles_per_s < floor:
-            problems.append(
-                f"{phase.name}: {phase.cycles_per_s:,.0f} cycles/s is >"
-                f"{factor:g}x below baseline {base.cycles_per_s:,.0f}"
-            )
-    for cmp_ in current.kernel_comparison:
-        if not cmp_.identical:
-            problems.append(
-                f"{cmp_.name}: naive and event kernels produced different Stats"
-            )
-    for cmp_ in current.exec_comparison:
-        if not cmp_.identical:
-            problems.append(
-                f"{cmp_.name}: dual and replay execution produced different Stats"
-            )
-        if cmp_.speedup < REPLAY_SPEEDUP_FLOOR:
-            problems.append(
-                f"{cmp_.name}: replay runs at {cmp_.speedup:.2f}x dual "
-                f"(floor {REPLAY_SPEEDUP_FLOOR:g}x)"
-            )
-    for cmp_ in current.telemetry_comparison:
-        if not cmp_.identical:
-            problems.append(
-                f"{cmp_.name}: armed telemetry changed the Stats snapshot"
-            )
-        if cmp_.overhead > TELEMETRY_OVERHEAD_FACTOR:
-            problems.append(
-                f"{cmp_.name}: armed telemetry costs {cmp_.overhead:.2f}x "
-                f"(budget {TELEMETRY_OVERHEAD_FACTOR:g}x)"
-            )
-    protection = {sc.name: sc for sc in current.protection_scenario}
-    for weaker, stronger in (
-        ("unprotected", "interval-sampled:0.5"),
-        ("interval-sampled:0.5", "full"),
-        ("full", "little-mute:2"),
-    ):
-        weak, strong = protection.get(weaker), protection.get(stronger)
-        if weak is None or strong is None:
-            continue
-        # Deterministic simulated IPC: each strengthening of the policy
-        # may only cost throughput, never gain it.
-        if weak.sim_ipc < strong.sim_ipc:
-            problems.append(
-                f"protection: {weaker} sim IPC {weak.sim_ipc:.3f} fell below "
-                f"{stronger} {strong.sim_ipc:.3f} (ordering inverted)"
-            )
-    baseline_protection = {sc.name: sc for sc in baseline.protection_scenario}
-    for sc in current.protection_scenario:
-        base = baseline_protection.get(sc.name)
-        if base is None or base.cycles_per_s <= 0:
-            continue
-        if sc.cycles_per_s < base.cycles_per_s / factor:
-            problems.append(
-                f"protection/{sc.name}: {sc.cycles_per_s:,.0f} cycles/s is >"
-                f"{factor:g}x below baseline {base.cycles_per_s:,.0f}"
-            )
-    baseline_micro = {micro.name: micro for micro in baseline.micro}
-    for micro in current.micro:
-        if not micro.scratch_reused:
-            problems.append(
-                f"{micro.name}: pop_retirable allocated a fresh list "
-                "(scratch-buffer contract broken)"
-            )
-        base = baseline_micro.get(micro.name)
-        if base is None or base.ops_per_s <= 0:
-            continue
-        if micro.ops_per_s < base.ops_per_s / factor:
-            problems.append(
-                f"{micro.name}: retire-gate micro at {micro.ops_per_s:,.0f}"
-                f" ops/s is >{factor:g}x below baseline "
-                f"{base.ops_per_s:,.0f}"
-            )
-    baseline_cache = {micro.backend: micro for micro in baseline.cache_micro}
-    for micro in current.cache_micro:
-        base = baseline_cache.get(micro.backend)
-        if base is None:
-            continue
-        for side, value, floor_src in (
-            ("put", micro.puts_per_s, base.puts_per_s),
-            ("get", micro.gets_per_s, base.gets_per_s),
-        ):
-            if floor_src <= 0:
-                continue
-            if value < floor_src / factor:
+    base_values = {row.key: row.value for row in baseline.rows}
+    previous: dict[tuple[str, str], Row] = {}
+    for row in current.rows:
+        kind, _, bound = (row.gate or "").partition(":")
+        label = f"{row.scenario}/{row.name}: {row.metric}"
+        if kind == FLOOR:
+            base = base_values.get(row.key)
+            if base is not None and row.value < base / factor:
                 problems.append(
-                    f"cache/{micro.backend}: {side} at {value:,.0f} ops/s is >"
-                    f"{factor:g}x below baseline {floor_src:,.0f}"
+                    f"{label} {row.value:,.0f} {row.unit} is >{factor:g}x "
+                    f"below baseline {base:,.0f}"
                 )
+        elif kind == IDENTITY:
+            if not row.value:
+                problems.append(f"{label} is false (contract broken)")
+        elif kind == "min":
+            if row.value < float(bound):
+                problems.append(f"{label} {row.value:.3f} is below the {bound} floor")
+        elif kind == "max":
+            if row.value > float(bound):
+                problems.append(f"{label} {row.value:.3f} exceeds the {bound} budget")
+        elif kind == ORDERING:
+            prior = previous.get((row.scenario, row.metric))
+            if prior is not None and prior.value < row.value:
+                problems.append(
+                    f"{row.scenario}: {prior.name} {row.metric} {prior.value:.3f} "
+                    f"fell below {row.name} {row.value:.3f} (ordering inverted)"
+                )
+            previous[(row.scenario, row.metric)] = row
+        elif kind:
+            raise ValueError(f"{label}: unknown gate {row.gate!r}")
     return problems
 
 
 def compare_reports(old: BenchReport, new: BenchReport) -> str:
-    """Render a trajectory table diffing two bench reports phase by phase.
+    """Render a trajectory table diffing two bench reports row by row.
 
     ``repro bench --compare OLD.json NEW.json`` — the bench history lives
     in committed ``BENCH_<date>.json`` files, and this turns two of them
-    into an explicit delta instead of an eyeball diff: per-phase cycles/s
-    ratio, kernel/exec speedup drift, telemetry-overhead drift, and the
-    retire-gate micro.  Ratios are ``new / old`` — above 1.0 is faster.
-    Sections or rows present in only one report are skipped.
+    into an explicit delta instead of an eyeball diff: every rate
+    (cycles/s, ops/s) and ratio (speedup, overhead) both reports hold,
+    with ``new / old`` — above 1.0 is faster for a rate.  Rows present in
+    only one report are skipped.
     """
     lines = [
         f"bench trajectory: {old.date} (scale={old.scale}, jobs={old.jobs})"
@@ -1080,77 +791,23 @@ def compare_reports(old: BenchReport, new: BenchReport) -> str:
             "WARNING: reports were taken at different scale/jobs settings;"
             " ratios are not apples to apples"
         )
-    old_phases = {phase.name: phase for phase in old.phases}
-    rows = [
-        (phase, old_phases[phase.name])
-        for phase in new.phases
-        if phase.name in old_phases
+    old_values = {row.key: row.value for row in old.rows}
+    matched = [
+        (row, old_values[row.key])
+        for row in new.rows
+        if row.unit in _TREND_UNITS and row.key in old_values
     ]
-    if rows:
+    if matched:
         lines += [
             "",
-            f"{'phase':<12}{'old c/s':>12}{'new c/s':>12}{'ratio':>9}"
-            f"{'old wall':>10}{'new wall':>10}",
-            "-" * 65,
+            f"{'row':<36}{'metric':<14}{'old':>13}{'new':>13}{'ratio':>9}",
+            "-" * 85,
         ]
-        for phase, base in rows:
-            ratio = (
-                phase.cycles_per_s / base.cycles_per_s
-                if base.cycles_per_s
-                else 0.0
-            )
+        for row, before in matched:
+            ratio = row.value / before if before else 0.0
             lines.append(
-                f"{phase.name:<12}{base.cycles_per_s:>12,.0f}"
-                f"{phase.cycles_per_s:>12,.0f}{ratio:>8.2f}x"
-                f"{base.wall_s:>10.2f}{phase.wall_s:>10.2f}"
-            )
-    for title, old_rows, new_rows, field_name in (
-        ("kernel speedup drift (event vs. naive)",
-         old.kernel_comparison, new.kernel_comparison, "speedup"),
-        ("execution speedup drift (replay vs. dual)",
-         old.exec_comparison, new.exec_comparison, "speedup"),
-        ("telemetry overhead drift (armed vs. off)",
-         old.telemetry_comparison, new.telemetry_comparison, "overhead"),
-    ):
-        old_by_name = {c.name: c for c in old_rows}
-        matched = [
-            (c, old_by_name[c.name]) for c in new_rows if c.name in old_by_name
-        ]
-        if not matched:
-            continue
-        lines += [
-            "",
-            f"{title}:",
-            f"{'artifact':<28}{'old':>9}{'new':>9}{'drift':>9}",
-            "-" * 55,
-        ]
-        for current_cmp, old_cmp in matched:
-            old_value = getattr(old_cmp, field_name)
-            new_value = getattr(current_cmp, field_name)
-            drift = new_value / old_value if old_value else 0.0
-            lines.append(
-                f"{current_cmp.name:<28}{old_value:>8.2f}x{new_value:>8.2f}x"
-                f"{drift:>8.2f}x"
-            )
-    old_micro = {m.name: m for m in old.micro}
-    matched_micro = [
-        (m, old_micro[m.name]) for m in new.micro if m.name in old_micro
-    ]
-    if matched_micro:
-        lines += [
-            "",
-            "retire-gate micro drift:",
-            f"{'gate':<28}{'old ops/s':>13}{'new ops/s':>13}{'ratio':>9}",
-            "-" * 63,
-        ]
-        for current_micro, base_micro in matched_micro:
-            ratio = (
-                current_micro.ops_per_s / base_micro.ops_per_s
-                if base_micro.ops_per_s
-                else 0.0
-            )
-            lines.append(
-                f"{current_micro.name:<28}{base_micro.ops_per_s:>13,.0f}"
-                f"{current_micro.ops_per_s:>13,.0f}{ratio:>8.2f}x"
+                f"{row.scenario + '/' + row.name:<36}{row.metric:<14}"
+                f"{_format(before, row.unit):>13}{_format(row.value, row.unit):>13}"
+                f"{ratio:>8.2f}x"
             )
     return "\n".join(lines)

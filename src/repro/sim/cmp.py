@@ -125,8 +125,7 @@ class CMPSystem:
         #: Effective per-pair protection policies (REUNION only; empty
         #: otherwise).  One resolution point: explicit
         #: ``config.pair_policies`` win, else every pair is ``full`` with
-        #: the replay bit taken from ``options.execution`` — the unified
-        #: API behind the legacy ``execution=``/``REPRO_EXEC`` knobs.
+        #: the replay bit taken from ``options.execution``.
         self.pair_policies = (
             resolve_pair_policies(config, execution)
             if mode is Mode.REUNION

@@ -44,8 +44,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.sim.config import ProtectionPolicy
-
 #: Telemetry levels, weakest to strongest.  Each level includes the
 #: previous one:
 #:
@@ -79,15 +77,6 @@ class SimOptions:
     trace_capacity: int = 65_536  # event ring-buffer size (records)
     max_cycles: int = 1_000_000  # run_until_idle bound
     seed: int = 0  # workload seed (CLI convenience)
-    #: How fully-protected pairs are *executed* (replay fast path vs
-    #: plain dual stepping).  ``None`` derives it from ``execution``,
-    #: so after construction it is never ``None``.  Only ``full`` is
-    #: legal here: partial/heterogeneous policies change results and
-    #: therefore live on the hashed
-    #: :attr:`~repro.sim.config.SystemConfig.pair_policies`, not on
-    #: options.  When set, ``protection`` wins over ``execution``
-    #: (``ProtectionPolicy.full(replay=True)`` ≡ ``execution="replay"``).
-    protection: ProtectionPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.kernel not in _KERNELS:
@@ -97,27 +86,6 @@ class SimOptions:
         if self.execution not in _EXECUTIONS:
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; use 'replay' or 'dual'"
-            )
-        if self.protection is not None:
-            if self.protection.mode != "full":
-                raise ValueError(
-                    f"SimOptions.protection must be a 'full' policy, got "
-                    f"{self.protection.mode!r}: partial and heterogeneous "
-                    "policies are result-affecting and belong on "
-                    "SystemConfig.pair_policies (the hashed config)"
-                )
-            object.__setattr__(
-                self,
-                "execution",
-                "replay" if self.protection.replay else "dual",
-            )
-        else:
-            object.__setattr__(
-                self,
-                "protection",
-                ProtectionPolicy(
-                    mode="full", replay=(self.execution == "replay")
-                ),
             )
         if self.trace not in TRACE_LEVELS:
             raise ValueError(
@@ -174,9 +142,8 @@ def options_key_payload(options: SimOptions | None) -> dict[str, Any]:
     ``tests/exec/test_jobs.py`` pins this), and ``kernel`` /
     ``execution`` are excluded by their bit-identity contracts: a sample
     is the same sample however it was computed, so a cache populated
-    under ``REPRO_EXEC=dual`` serves ``replay`` runs, and vice versa.  ``protection`` is constrained to ``full``-mode
-    policies exactly so it stays inside that contract (its only degree
-    of freedom is the replay bit); the result-affecting policy axis is
+    under ``REPRO_EXEC=dual`` serves ``replay`` runs, and vice versa.
+    The result-affecting policy axis is
     :attr:`~repro.sim.config.SystemConfig.pair_policies`, which is
     hashed via :func:`~repro.exec.jobs.config_payload`.
     ``max_cycles`` and ``seed`` are not consumed by

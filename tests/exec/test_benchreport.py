@@ -1,17 +1,25 @@
-"""Bench report serialization, regression checks, kernel comparison."""
+"""Bench report rows: serialization, every gate kind, trajectory diffs."""
+
+import copy
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.exec.benchreport import (
     BENCH_SCHEMA,
+    FLOOR,
+    IDENTITY,
     BenchReport,
-    KernelComparison,
-    PhaseResult,
+    Row,
     check_regression,
+    compare_reports,
     run_bench,
     run_kernel_comparison,
 )
 from repro.harness import QUICK
+
+BASELINE = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_baseline.json"
 
 
 def make_report(cps=5000.0, identical=True) -> BenchReport:
@@ -19,21 +27,11 @@ def make_report(cps=5000.0, identical=True) -> BenchReport:
         date="2026-08-06",
         scale="quick",
         jobs=2,
-        phases=[
-            PhaseResult(
-                name="fig5", wall_s=10.0, cycles=50_000, samples=11,
-                cycles_per_s=cps,
-            )
-        ],
-        kernel_comparison=[
-            KernelComparison(
-                name="mem-chase/reunion",
-                naive_wall_s=1.0,
-                event_wall_s=0.2,
-                speedup=5.0,
-                cycles=3_700,
-                identical=identical,
-            )
+        rows=[
+            Row("phase", "fig5", "wall_s", 10.0, "s"),
+            Row("phase", "fig5", "cycles_per_s", cps, "cycles/s", FLOOR),
+            Row("kernel", "mem-chase/reunion", "speedup", 5.0, "x"),
+            Row("kernel", "mem-chase/reunion", "identical", identical, "bool", IDENTITY),
         ],
     )
 
@@ -51,6 +49,12 @@ class TestSerialization:
 
     def test_schema_stamped(self):
         assert make_report().to_dict()["schema"] == BENCH_SCHEMA
+
+    def test_other_schema_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps({"schema": 1, "date": "2026-08-06", "phases": []}))
+        with pytest.raises(ValueError, match=r"BENCH_old\.json: bench report schema 1"):
+            BenchReport.load(str(path))
 
     def test_render_mentions_phases_and_kernels(self):
         text = make_report().render()
@@ -75,13 +79,82 @@ class TestRegressionCheck:
 
     def test_phase_missing_from_baseline_ignored(self):
         baseline = make_report()
-        baseline.phases = []
+        baseline.rows = [row for row in baseline.rows if row.scenario != "phase"]
         assert check_regression(make_report(cps=1.0), baseline) == []
 
     def test_kernel_disagreement_always_fails(self):
         current = make_report(identical=False)
         problems = check_regression(current, make_report())
-        assert any("different Stats" in p for p in problems)
+        assert problems == ["kernel/mem-chase/reunion: identical is false (contract broken)"]
+
+
+class TestGateKinds:
+    """One failing row per gate the committed baseline carries."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return BenchReport.load(str(BASELINE))
+
+    def test_baseline_passes_against_itself(self, baseline):
+        assert check_regression(baseline, baseline) == []
+
+    @pytest.mark.parametrize(
+        "scenario,name,metric,value,expected",
+        [
+            ("phase", "table3", "cycles_per_s", 1.0, "below baseline"),
+            ("kernel", "em3d/reunion", "identical", False, "is false"),
+            ("exec", "compute-kernel/reunion", "identical", False, "is false"),
+            ("exec", "mem-chase/reunion", "speedup", 0.9, "below the 0.95 floor"),
+            ("telemetry", "mem-chase/reunion", "identical", False, "is false"),
+            ("telemetry", "mem-chase/reunion", "overhead", 1.2, "exceeds the 1.1 budget"),
+            ("directory", "mem-chase/4-pair-dir", "mirror_cycles", 0, "below the 1 floor"),
+            ("protection", "full", "cycles_per_s", 1.0, "below baseline"),
+            ("protection", "full", "sim_ipc", 3.0, "interval-sampled:0.5 sim_ipc"),
+            ("retire-gate", "strict-check", "ops_per_s", 1.0, "below baseline"),
+            ("retire-gate", "immediate", "scratch_reused", False, "is false"),
+            ("cache", "json", "puts_per_s", 1.0, "below baseline"),
+            ("cache", "sqlite", "gets_per_s", 1.0, "below baseline"),
+        ],
+    )
+    def test_gate_fails(self, baseline, scenario, name, metric, value, expected):
+        current = copy.deepcopy(baseline)
+        (row,) = [r for r in current.rows if r.key == (scenario, name, metric)]
+        row.value = value
+        problems = check_regression(current, baseline)
+        assert len(problems) == 1
+        assert expected in problems[0]
+        assert name in problems[0]
+
+    def test_unknown_gate_rejected(self):
+        report = make_report()
+        report.rows[0].gate = "flor"
+        with pytest.raises(ValueError, match="unknown gate 'flor'"):
+            check_regression(report, report)
+
+    def test_report_only_rows_never_fail(self, baseline):
+        current = copy.deepcopy(baseline)
+        for row in current.rows:
+            if row.gate is None:
+                row.value = 0
+        assert check_regression(current, baseline) == []
+
+
+class TestCompareReports:
+    def test_rates_and_ratios_diffed_row_by_row(self):
+        old = make_report(cps=5000.0)
+        new = make_report(cps=10_000.0)
+        new.rows.append(Row("phase", "sc", "cycles_per_s", 1.0, "cycles/s", FLOOR))
+        text = compare_reports(old, new)
+        assert "phase/fig5" in text and "2.00x" in text
+        assert "kernel/mem-chase/reunion" in text and "1.00x" in text
+        assert "phase/sc" not in text  # only in one report
+        assert "wall_s" not in text and "identical" not in text
+        assert "WARNING" not in text
+
+    def test_mismatched_settings_flagged(self):
+        new = make_report()
+        new.jobs = 1
+        assert "WARNING" in compare_reports(make_report(), new)
 
 
 class TestRunBench:
@@ -89,11 +162,20 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(scale_name="quick", only=["fig99"])
 
+    def test_only_picks_registry_entries(self):
+        report = run_bench(quick=True, only=["retire-gate"])
+        assert {row.scenario for row in report.rows} == {"retire-gate"}
+        assert list(report.profile) == ["retire-gate"]
+        assert check_regression(report, report) == []
+
     def test_kernel_comparison_bit_identical(self):
-        comparisons = run_kernel_comparison(QUICK)
-        assert comparisons  # at least one memory-bound artifact
-        assert all(c.identical for c in comparisons)
-        assert all(c.naive_wall_s > 0 and c.event_wall_s > 0 for c in comparisons)
+        rows = run_kernel_comparison(QUICK)
+        by_metric = {}
+        for row in rows:
+            by_metric.setdefault(row.metric, []).append(row.value)
+        assert by_metric["identical"]  # at least one memory-bound artifact
+        assert all(by_metric["identical"])
+        assert all(wall > 0 for wall in by_metric["naive_wall_s"] + by_metric["event_wall_s"])
         # The tentpole claim: cycle skipping wins on at least one
         # memory-latency-dominated artifact.
-        assert max(c.speedup for c in comparisons) >= 2.0
+        assert max(by_metric["speedup"]) >= 2.0

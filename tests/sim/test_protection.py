@@ -4,7 +4,7 @@ Behavioral tests (what each policy does to a running pair) live in
 tests/core/test_protection_policies.py; this module covers the API
 surface the redesign introduced: the frozen policy dataclass and its
 validation, the ``mode[:params]`` spec grammar, the
-``SimOptions.protection`` / ``execution`` unification, and the cache-key
+per-pair policy resolution from ``execution``, and the cache-key
 contract (policies are result-affecting and hashed; the replay bit is
 result-neutral and excluded).
 """
@@ -151,35 +151,6 @@ class TestSpecGrammar:
 
 
 class TestOptionsUnification:
-    def test_protection_derived_from_execution(self):
-        assert SimOptions(execution="replay").protection == ProtectionPolicy.full(
-            replay=True
-        )
-        assert SimOptions(execution="dual").protection == ProtectionPolicy.full(
-            replay=False
-        )
-
-    def test_protection_wins_over_execution(self):
-        options = SimOptions(
-            execution="replay", protection=ProtectionPolicy.full(replay=False)
-        )
-        assert options.execution == "dual"
-
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            ProtectionPolicy.little_mute(2),
-            ProtectionPolicy.interval_sampled(0.5),
-            ProtectionPolicy.unprotected(),
-            ProtectionPolicy.dynamic(),
-        ],
-    )
-    def test_only_full_lives_on_options(self, policy):
-        # Anything else changes results, so it belongs on the hashed
-        # SystemConfig.pair_policies, never on result-neutral options.
-        with pytest.raises(ValueError, match="pair_policies"):
-            SimOptions(protection=policy)
-
     def test_resolution_defaults_to_full_per_pair(self):
         policies = resolve_pair_policies(REUNION.replace(n_logical=3), "replay")
         assert policies == (ProtectionPolicy.full(replay=True),) * 3
@@ -255,7 +226,5 @@ class TestCacheKeys:
 
     def test_options_protection_never_touches_keys(self):
         bare = _job(REUNION)
-        armed = _job(
-            REUNION, options=SimOptions(protection=ProtectionPolicy.full(replay=False))
-        )
+        armed = _job(REUNION, options=SimOptions(execution="dual"))
         assert bare.key == armed.key
