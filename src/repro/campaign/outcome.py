@@ -136,10 +136,7 @@ def _build_system(config: SystemConfig, spec: InjectionSpec, trace: str) -> CMPS
     workload = resolve_workload(spec.workload_name)
     programs = workload.programs(config.n_logical, spec.seed)
     schedules = workload.itlb_schedules(config.n_logical, spec.seed)
-    # Dual execution always: fault-armed pairs disable the replay fast
-    # path anyway, and running the golden reference in the identical
-    # execution model keeps the two runs' timing envelopes comparable.
-    options = SimOptions(kernel="event", execution="dual", trace=trace)
+    options = SimOptions(kernel="event", trace=trace)
     return CMPSystem(config, programs, schedules, options=options)
 
 

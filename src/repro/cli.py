@@ -6,7 +6,7 @@ Installed as the ``repro`` console script::
     repro run "DB2 OLTP" --mode reunion --latency 10
     repro asm program.s --mode reunion  # assemble, run to halt, dump state
     repro reproduce --only fig5 table3  # regenerate paper artifacts
-    repro trace mem-chase --level events  # telemetry-armed replay of a sample
+    repro trace mem-chase --level events  # telemetry-armed re-run of a sample
 """
 
 from __future__ import annotations
@@ -92,18 +92,11 @@ def _add_options_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="simulation kernel (default: REPRO_KERNEL or event)",
     )
-    parser.add_argument(
-        "--execution",
-        choices=["replay", "dual"],
-        default=None,
-        help="mute-core execution strategy (default: REPRO_EXEC or replay)",
-    )
 
 
 def _options_from_args(args, **overrides) -> SimOptions:
     return SimOptions.from_env(
         kernel=getattr(args, "kernel", None),
-        execution=getattr(args, "execution", None),
         **overrides,
     )
 
@@ -289,7 +282,7 @@ def cmd_trace(args) -> int:
 
     if cached is not None and cached != sample:
         print(
-            "ERROR: telemetry-armed replay diverged from the cached sample "
+            "ERROR: telemetry-armed re-run diverged from the cached sample "
             f"for job {job.key[:12]} — the telemetry bit-identity contract "
             "is broken",
             file=sys.stderr,
@@ -631,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = subparsers.add_parser(
         "trace",
-        help="replay one sample with telemetry armed; write JSONL and "
+        help="re-run one sample with telemetry armed; write JSONL and "
         "Chrome trace_event files",
     )
     trace_parser.add_argument("workload")
@@ -915,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         nargs="*",
         help="entries to run (default all): fig5 fig6a fig6b table3 fig7a "
-        "fig7b sc kernel exec telemetry directory protection retire-gate cache",
+        "fig7b sc kernel telemetry directory protection retire-gate cache",
     )
     bench_parser.add_argument(
         "--out", default=".", help="directory for the BENCH_<date>.json report"
@@ -924,9 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline",
         help="a prior BENCH json; exit 1 if any gated row fails: a phase, "
         "protection, retire-gate or cache rate >3x below the baseline, "
-        "a bit-identity or scratch-reuse check, replay <0.95x dual, "
-        "telemetry overhead >1.10x, an inverted protection sim-IPC "
-        "ordering, or zero directory mirror cycles",
+        "a bit-identity or scratch-reuse check, telemetry overhead "
+        ">1.10x, or an inverted protection sim-IPC ordering",
     )
     bench_parser.add_argument(
         "--compare",
@@ -939,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="smoke run at reduced windows: fig5 plus every non-phase entry, "
-        "kernel and execution comparisons on their first workload only "
+        "the kernel comparison on its first workload only "
         "(finishes in seconds)",
     )
     bench_parser.set_defaults(func=cmd_bench)

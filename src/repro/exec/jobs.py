@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.config import SystemConfig
-from repro.sim.options import SimOptions, options_key_payload
+from repro.sim.options import SimOptions
 from repro.sim.sampling import Sample, run_sample
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,18 +45,11 @@ def config_payload(value: Any) -> Any:
     Dataclasses become sorted field dicts, enums their values; anything
     else must already be a JSON scalar.  The rendering is what gets
     hashed, so it must be deterministic across processes and platforms.
-    A dataclass may name result-neutral fields in a ``_KEY_EXCLUDE``
-    class attribute (e.g. :class:`~repro.sim.config.ProtectionPolicy`'s
-    ``replay`` bit, which only picks the execution strategy for a
-    bit-identical pair of implementations) — those are left out of the
-    rendering so they never perturb cache keys.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        excluded = getattr(value, "_KEY_EXCLUDE", ())
         return {
             f.name: config_payload(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.name not in excluded
         }
     if isinstance(value, enum.Enum):
         return value.value
@@ -72,12 +65,9 @@ class SampleJob:
     """One simulation point: a pure function of the first five fields.
 
     ``options`` rides along for *how* to compute the sample (kernel,
-    execution strategy, telemetry) but is deliberately near-absent from
-    the content-hash key: every current :class:`SimOptions` field is
-    result-neutral by contract, so a cache populated with telemetry off
-    serves armed runs (and dual serves replay) without re-simulating.
-    Only :func:`repro.sim.options.options_key_payload`'s projection —
-    empty today — is folded in.
+    telemetry) but is absent from the content-hash key: every
+    :class:`SimOptions` field is result-neutral by contract, so a cache
+    populated with telemetry off serves armed runs without re-simulating.
     """
 
     config: SystemConfig
@@ -89,7 +79,7 @@ class SampleJob:
 
     def payload(self) -> dict[str, Any]:
         """The canonical dict this job's key is the hash of."""
-        payload = {
+        return {
             "schema": SCHEMA_VERSION,
             "config": config_payload(self.config),
             "workload": self.workload_name,
@@ -97,10 +87,6 @@ class SampleJob:
             "warmup": self.warmup,
             "measure": self.measure,
         }
-        extra = options_key_payload(self.options)
-        if extra:
-            payload["options"] = extra
-        return payload
 
     @property
     def key(self) -> str:

@@ -16,13 +16,10 @@ row can never disagree with the object it summarizes —
 ``tests/isa/test_decode.py`` pins the equivalence over every opcode and
 field combination.
 
-Two bits are *dynamic*, not static properties of the opcode:
-
-* ``F_SER`` folds in the consistency model: under sequential
-  consistency every store serializes retirement (Section 5.5), so the
-  mask depends on ``sc_mode`` and tables are cached per mode.
-* ``F_WINDOW_END`` marks the instructions whose fetch ends a mirror
-  window (memory, serializing, HALT — see ``repro.core.mirror``).
+One bit is *dynamic*, not a static property of the opcode: ``F_SER``
+folds in the consistency model.  Under sequential consistency every
+store serializes retirement (Section 5.5), so the mask depends on
+``sc_mode`` and tables are cached per mode.
 
 Tables are cached on the (mutable) ``Program`` instance, keyed by
 ``sc_mode``; every core running the same program shares one table set.
@@ -53,7 +50,6 @@ F_SER = 1 << 9  # serializing *in this consistency mode*
 F_WRITES = 1 << 10
 F_IMM_FORM = 1 << 11
 F_MUL = 1 << 12
-F_WINDOW_END = 1 << 13  # fetching this ends a mirror window
 F_NEEDS1 = 1 << 14  # dispatch must capture rs1
 F_NEEDS2 = 1 << 15  # dispatch must capture rs2
 
@@ -93,8 +89,6 @@ def flags_of(inst: Instruction, sc_mode: bool) -> int:
         flags |= F_IMM_FORM
     if op is Op.MUL:
         flags |= F_MUL
-    if inst.is_mem or inst.is_serializing or op is Op.HALT:
-        flags |= F_WINDOW_END
     # Operand-capture predicates, verbatim from the dispatch stage.
     if inst.rs1 != 0 and (inst.is_alu or inst.is_mem or inst.is_branch):
         flags |= F_NEEDS1

@@ -2,8 +2,8 @@
 
 Reunion's correctness story lives in rare events — fingerprint
 mismatches, input incoherence, synchronizing requests, re-execution
-phases, mirror-window closures — that aggregate end-of-run
-:class:`~repro.sim.stats.Stats` flatten away.  This package records
+phases — that aggregate end-of-run :class:`~repro.sim.stats.Stats`
+flatten away.  This package records
 them, when armed, as typed event streams and per-interval time series:
 
 * :mod:`repro.obs.events` — a bounded ring-buffered event log plus the

@@ -48,10 +48,6 @@ K_RECOVERY_FAILURE = "recovery.failure"  # events
 # Relaxed input replication.
 K_SYNC_REQUEST = "sync.request"  # events
 K_PHANTOM_READ = "phantom.read"  # events
-# Replay fast path.
-K_MIRROR_OPEN = "mirror.open"  # events
-K_MIRROR_CLOSE = "mirror.close"  # events
-K_MIRROR_MATERIALIZE = "mirror.materialize"  # events
 # Interrupt replication.
 K_INTERRUPT_POST = "interrupt.post"  # events
 # Cache controller diagnostics.
@@ -66,18 +62,6 @@ K_DIR_GRANT = "dir.grant"  # full: home-bank arbiter grant (WRR slot)
 # Fault injection.
 K_FAULT_INJECT = "fault.inject"  # events
 K_FAULT_ABSORB = "fault.absorb"  # events: a faulted entry entered a check interval
-
-#: Kinds that describe the *simulation strategy* rather than the
-#: simulated machine.  Mirror windows exist only under replay execution
-#: (dual execution steps the mute for real), so differential
-#: replay-vs-dual event comparisons exclude them — everything else
-#: matches record for record, payloads included: the vocal gate keeps
-#: hashing fingerprints inside a mirror window, so even in-window
-#: ``fingerprint.compare`` records carry the same CRC values dual
-#: execution would; see tests/sim/test_telemetry.py.
-STRATEGY_KINDS = frozenset(
-    {K_MIRROR_OPEN, K_MIRROR_CLOSE, K_MIRROR_MATERIALIZE}
-)
 
 
 @dataclass(slots=True)

@@ -10,9 +10,8 @@ Two renderings of one armed :class:`~repro.obs.events.Telemetry`:
   ``trace_event`` JSON object format (load in ``chrome://tracing`` or
   Perfetto).  One simulated cycle is rendered as one microsecond.
   Instant events carry the taxonomy kinds; recovery episodes
-  (``recovery.start`` → ``recovery.resume``) and mirror windows
-  (``mirror.open`` → ``mirror.close``) become duration ("X") slices;
-  metrics rows become counter ("C") tracks (IPC, fingerprint
+  (``recovery.start`` → ``recovery.resume``) become duration ("X")
+  slices; metrics rows become counter ("C") tracks (IPC, fingerprint
   bandwidth, sync rate).
 
 Both formats are pure functions of the telemetry object — exporting
@@ -26,8 +25,6 @@ from typing import IO, Any
 
 from repro.obs.events import (
     Event,
-    K_MIRROR_CLOSE,
-    K_MIRROR_OPEN,
     K_RECOVERY_RESUME,
     K_RECOVERY_START,
     Telemetry,
@@ -37,7 +34,6 @@ from repro.obs.events import (
 #: kind, slice name).  Pairing is per-source and strictly sequential.
 _DURATION_PAIRS = {
     K_RECOVERY_START: (K_RECOVERY_RESUME, "recovery"),
-    K_MIRROR_OPEN: (K_MIRROR_CLOSE, "mirror-window"),
 }
 
 

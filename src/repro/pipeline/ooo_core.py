@@ -45,7 +45,6 @@ from repro.isa.decode import (
     F_NEEDS2,
     F_SER,
     F_STORE,
-    F_WINDOW_END,
     F_WRITES,
     decode_program,
     flags_of,
@@ -142,19 +141,9 @@ class OoOCore:
         self.pair_sync_atomics = False  # pair controller flips this on
         self.single_step = False
         self.sync_request: FlatView | None = None
-        #: Owning LogicalPair, if any (lets the fault injector disable
-        #: the replay fast path when it hooks a paired core).
-        self.pair = None
-
-        # Mirror window (see repro.core.mirror).  On the vocal,
-        # ``mirror_watch`` arms fetch-side detection of the first
-        # instruction that could end the pair-symmetric window, and
-        # ``mirror_trigger`` latches that detection for the pair
-        # controller.  On the mute, ``mirror_passive`` tells the system
-        # loop not to step (or poll) this core at all.
-        self.mirror_watch = False
-        self.mirror_trigger = False
-        self.mirror_passive = False
+        #: A parked core (the mute of an ``unprotected`` pair) is never
+        #: stepped or polled by the system loop.
+        self.parked = False
 
         # External interrupts: (service at user-instruction count, handler).
         # Both cores of a pair schedule the same count, so they service at
@@ -176,8 +165,8 @@ class OoOCore:
         #: as :meth:`next_event`, whose result it caches).  Refreshed
         #: after each real step; reset to 0 by anything that mutates core
         #: state from outside ``step`` — the pair controller (comparison
-        #: clears, sync servicing, recovery, mirror exit) and the
-        #: external APIs (``schedule_interrupt``, ``complete_sync``,
+        #: clears, sync servicing, recovery) and the external APIs
+        #: (``schedule_interrupt``, ``complete_sync``,
         #: ``drain_cleared``).  The naive kernel never reads it.
         self._skip_until = 0
 
@@ -201,7 +190,6 @@ class OoOCore:
         self.itlb_misses = 0
         self.mispredicts = 0
         self.serializing_retired = 0
-        self.user_mem_retired = 0
 
         # The flat ring (see below): pre-decoded program tables, hoisted
         # config scalars and the preallocated slot columns.
@@ -236,9 +224,9 @@ class OoOCore:
     #
     # Entry-shaped views (repro.pipeline.flat.FlatView, per-slot
     # singletons) materialize lazily only on cold paths: fault-injection
-    # / retire / tracer hooks, sync-request servicing and mirror
-    # materialization.  The retire gates speak the ``*_f`` protocol over
-    # the same columns (repro.pipeline.gates).
+    # / retire / tracer hooks and sync-request servicing.  The retire
+    # gates speak the ``*_f`` protocol over the same columns
+    # (repro.pipeline.gates).
     # ------------------------------------------------------------------
 
     def set_issue_width(self, width: int) -> None:
@@ -298,9 +286,8 @@ class OoOCore:
         # locals (a single LOAD_ATTR + UNPACK_SEQUENCE) instead of ~20
         # separate attribute loads per call — the per-call fixed cost
         # matters because a typical call touches only 1-2 instructions.
-        # The column list objects are never reassigned (mirror
-        # materialization copies contents in place), so the bundle stays
-        # valid for the core's lifetime.
+        # The column list objects are never reassigned, so the bundle
+        # stays valid for the core's lifetime.
         self._f_cols = (
             self.f_seq,
             self.f_pc,
@@ -1158,8 +1145,6 @@ class OoOCore:
         self.user_retired += 1
         if self.retire_hook is not None:
             self.retire_hook(self._view(slot))
-        if flags & F_MEM:
-            self.user_mem_retired += 1
         if flags & F_SER:
             self.serializing_retired += 1
 
@@ -1438,7 +1423,6 @@ class OoOCore:
         p_table = predictor._table
         p_key = predictor._history & predictor._mask  # XOR pc per row below
         p_mask = predictor._mask
-        mirror_watch = self.mirror_watch
         single_step = self.single_step
         append = fq.append
         ready = now + cc.frontend_latency
@@ -1447,11 +1431,6 @@ class OoOCore:
         while fetched < room:
             row = pc if 0 <= pc < d_n else d_n
             f = d_flags[row]
-            if mirror_watch and f & F_WINDOW_END:
-                # The first memory / serializing / halt instruction ends
-                # the mirror window (see _flat_fetch_cold for the full
-                # timing argument).
-                self.mirror_trigger = True
             if f & F_BRANCH:
                 # Inlined gshare predict (predictor.update never runs
                 # between fetches within one step call).
@@ -1552,9 +1531,6 @@ class OoOCore:
         while fetched < width and len(self.fetch_queue) < cap and not self.fetch_stalled:
             if self.injection:
                 inst, fill_addr = self.injection.popleft()
-                if self.mirror_watch:
-                    # Injected handlers perform loads; end the window.
-                    self.mirror_trigger = True
                 self.fetch_queue.append(
                     (ready, self._injection_resume or 0, inst, True, None, fill_addr, -1)
                 )
@@ -1564,15 +1540,6 @@ class OoOCore:
                 fetched += 1
                 continue
             inst = self.program.fetch(self.pc)
-            if self.mirror_watch and (
-                inst.is_mem or inst.is_serializing or inst.op is Op.HALT
-            ):
-                # The first memory / serializing / halt instruction ends
-                # the mirror window.  Fetch leads dispatch by a cycle and
-                # issue by two, so the pair controller (which runs after
-                # this core's step) materializes the mute strictly before
-                # this instruction can touch shared state.
-                self.mirror_trigger = True
             predicted_next = None
             pc = self.pc
             if inst.is_branch:

@@ -12,10 +12,7 @@ Reconstruction is a generic typed decoder over the config dataclasses:
 :func:`~repro.exec.jobs.config_payload` renders dataclasses as sorted
 field dicts and enums as their values; :func:`decode_dataclass` inverts
 that using the dataclass type hints (nested dataclasses, enums,
-``tuple[X, ...]``, ``Optional``).  Fields a dataclass excludes from its
-payload via ``_KEY_EXCLUDE`` (result-neutral by contract, e.g.
-``ProtectionPolicy.replay``) decode to their defaults — result-neutral
-means the default is as good as whatever the submitter had.
+``tuple[X, ...]``, ``Optional``).
 
 Results travel as the same encodings the cache stores (``Sample`` /
 ``Outcome`` field dicts), so a daemon-served sweep renders
@@ -89,8 +86,7 @@ def decode_value(annotation: Any, value: Any) -> Any:
 def decode_dataclass(cls: type, payload: Any) -> Any:
     """Invert :func:`~repro.exec.jobs.config_payload` for ``cls``.
 
-    Missing fields fall back to their declared defaults — which is what
-    ``_KEY_EXCLUDE``'d (result-neutral) fields rely on.
+    Missing fields fall back to their declared defaults.
     """
     if not isinstance(payload, dict):
         raise WireError(f"expected a field dict for {cls.__name__}, got {payload!r}")

@@ -59,7 +59,7 @@ class CMPSystem:
     ) -> None:
         if options is None:
             # SimOptions.from_env is the single resolver of the
-            # REPRO_KERNEL / REPRO_EXEC / REPRO_TRACE defaults.
+            # REPRO_KERNEL / REPRO_TRACE defaults.
             options = SimOptions.from_env()
         #: The resolved run options (see :class:`repro.sim.options.SimOptions`).
         self.options = options
@@ -68,14 +68,6 @@ class CMPSystem:
         #: conservative next_event() contract); ``"naive"`` steps every
         #: cycle.
         self.kernel = options.kernel
-        #: Execution mode for Reunion pairs: ``"replay"`` opens a mirror
-        #: window from reset — the mute is a provably identical copy of
-        #: the vocal until the first asymmetry trigger, at which point its
-        #: state is materialized and the pair falls back to dual execution
-        #: permanently (see repro.core.mirror); ``"dual"`` always
-        #: re-executes everything on the mute.
-        self.execution = options.execution
-        execution = options.execution
         if len(programs) != config.n_logical:
             raise ValueError(
                 f"need {config.n_logical} programs, got {len(programs)}"
@@ -124,10 +116,9 @@ class CMPSystem:
 
         #: Effective per-pair protection policies (REUNION only; empty
         #: otherwise).  One resolution point: explicit
-        #: ``config.pair_policies`` win, else every pair is ``full`` with
-        #: the replay bit taken from ``options.execution``.
+        #: ``config.pair_policies`` win, else every pair is ``full``.
         self.pair_policies = (
-            resolve_pair_policies(config, execution)
+            resolve_pair_policies(config)
             if mode is Mode.REUNION
             else ()
         )
@@ -213,29 +204,13 @@ class CMPSystem:
                     paired_core.gate.obs = self.obs
                     paired_core.gate.obs_source = f"core{paired_core.core_id}"
 
-        if mode is Mode.REUNION:
-            # A mirror window covers only the symmetric prefix before the
-            # pair's first memory access: in-window the pair touches no
-            # shared structure at all, so skipping the mute is invisible
-            # to every other pair under any coherence backend.  Arming is
-            # therefore safe per-pair even on MANYCORE systems; each pair
-            # falls back to dual execution at its own first trigger.
-            # Only full-policy pairs with the replay bit set ever mirror
-            # (a heterogeneous pair is not a symmetric automaton pair;
-            # partial pairs keep real gates driving the skip schedule).
-            for pair in self.pairs:
-                if pair.policy.mode == "full" and pair.policy.replay:
-                    pair.enable_replay()
-
     # -- simulation loop ----------------------------------------------------
     def step(self) -> None:
         """Advance exactly one cycle (the public per-cycle API)."""
         self.steps += 1
         now = self.now
         for core in self.cores:
-            if core.mirror_passive:
-                # A mirrored mute is a virtual copy of its vocal; its
-                # state is materialized by the pair at window exit.
+            if core.parked:
                 continue
             core.step(now)
         for pair in self.pairs:
@@ -258,7 +233,7 @@ class CMPSystem:
         self.steps += 1
         now = self.now
         for core in self.cores:
-            if core.mirror_passive:
+            if core.parked:
                 continue
             if core._skip_until > now:
                 core.cycles += 1
@@ -282,7 +257,7 @@ class CMPSystem:
         now = self.now
         horizon = limit
         for core in self.cores:
-            if core.mirror_passive:
+            if core.parked:
                 # Not stepped: its stale state must not be polled (it
                 # would report spurious activity and kill every skip).
                 continue
@@ -349,7 +324,6 @@ class CMPSystem:
                 self._step_event()
                 if observing:
                     self._observe_step()
-        self._mirror_sync()
 
     def run_until_idle(self, max_cycles: int | None = None) -> int:
         """Run until every logical processor has halted; returns cycles.
@@ -377,18 +351,7 @@ class CMPSystem:
                 self.step()
             if observing:
                 self._observe_step()
-        self._mirror_sync()
         return self.now
-
-    def _mirror_sync(self) -> None:
-        """Bring mirrored mute cores' observable counters up to date.
-
-        Called whenever control returns to the caller, who may read
-        per-core statistics or architectural state directly while a
-        mirror window is still open.
-        """
-        for pair in self.pairs:
-            pair.mirror_sync()
 
     @property
     def idle(self) -> bool:
@@ -431,7 +394,6 @@ class CMPSystem:
         ``program``.  Returns the promoted core.
         """
         pair = self._pair_for(logical_id)
-        pair.disable_replay()
         now = self.now
         vocal, mute = pair.vocal, pair.mute
         # Quiesce at the last compared instruction (safe state).
@@ -449,7 +411,7 @@ class CMPSystem:
         # coherence protocol, and start the new program.  Undo any
         # policy shaping: a parked (unprotected) mute re-enters the step
         # loop, a little mute gets its full issue width back.
-        mute.mirror_passive = False
+        mute.parked = False
         mute.set_issue_width(self.config.core.width)
         mute.port.l1.clear()
         mute.port.mshrs.clear()
@@ -461,8 +423,6 @@ class CMPSystem:
         mute.pair_sync_atomics = False
         mute.synthetic_itlb = None  # the new program has its own TLB character
 
-        vocal.pair = None
-        mute.pair = None
         self.pairs.remove(pair)
         self.vocal_cores.append(mute)
         return mute
@@ -504,11 +464,8 @@ class CMPSystem:
         partner.synthetic_itlb = vocal.synthetic_itlb
         partner.stall_fetch_until = max(partner.stall_fetch_until, now + penalty)
 
-        # A re-formed pair stays in dual execution: mirror windows only
-        # arm from pristine reset state (see LogicalPair.enable_replay),
-        # and this pair resumes mid-program.  It re-adopts the logical
-        # slot's resolved protection policy (little-mute narrowing
-        # included).
+        # The re-formed pair re-adopts the logical slot's resolved
+        # protection policy (little-mute narrowing included).
         policy = (
             self.pair_policies[logical_id]
             if logical_id < len(self.pair_policies)
@@ -550,13 +507,12 @@ class CMPSystem:
 
         :class:`Stats` is the *architectural* record: every counter in it
         must be bit-identical across simulation strategies (naive/event
-        kernel, dual/replay execution, telemetry on/off), because the
-        differential tests compare whole snapshots.  Strategy-dependent
-        diagnostics — :attr:`steps`, ``pair.mirror_cycles``, anything in
-        :mod:`repro.obs` — must therefore never be folded in here.
-        ``tests/sim/test_stats_diagnostics.py`` asserts the exclusion.
+        kernel, telemetry on/off), because the differential tests
+        compare whole snapshots.  Strategy-dependent diagnostics —
+        :attr:`steps`, anything in :mod:`repro.obs` — must therefore
+        never be folded in here.  ``tests/sim/test_stats_diagnostics.py``
+        asserts the exclusion.
         """
-        self._mirror_sync()
         for core in self.cores:
             prefix = f"core{core.core_id}."
             self.stats.set(prefix + "cycles", core.cycles)

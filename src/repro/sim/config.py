@@ -17,7 +17,6 @@ import dataclasses
 import enum
 import os
 from dataclasses import dataclass
-from typing import ClassVar
 
 
 def _require_power_of_two(value: int, what: str) -> None:
@@ -267,8 +266,7 @@ class ProtectionPolicy:
     compared.  A policy generalizes that along the coverage-vs-throughput
     axis ROADMAP item 2 names:
 
-    * ``full`` — the paper's design.  The only mode eligible for the
-      replay/mirror fast path (``replay=True``, the default).
+    * ``full`` — the paper's design.
     * ``little-mute`` — a reduced checker core validates a full vocal
       (MEEK-style heterogeneous detection): the mute's *issue* stage is
       narrowed to ``mute_width`` while fetch/dispatch/retire keep the
@@ -286,11 +284,8 @@ class ProtectionPolicy:
       ``off_intervals`` intervals go unchecked; checking resumes once
       the backlog drains to ``on_threshold``.
 
-    Every field except ``replay`` is *result-affecting* and lives in the
-    hashed config (:func:`repro.exec.jobs.config_payload`).  ``replay``
-    only selects the execution strategy for ``full`` pairs — replay is
-    bit-identical to dual by contract — so it is excluded from cache
-    keys via ``_KEY_EXCLUDE``.
+    Every field is *result-affecting* and lives in the hashed config
+    (:func:`repro.exec.jobs.config_payload`).
     """
 
     mode: str = "full"
@@ -299,10 +294,6 @@ class ProtectionPolicy:
     off_threshold: int | None = None  # dynamic: backlog that disables checking
     on_threshold: int | None = None  # dynamic: backlog that re-enables it
     off_intervals: int | None = None  # dynamic: intervals per off-window
-    replay: bool = True  # full only: mirror fast path (result-neutral)
-
-    #: Result-neutral fields, excluded from content-hash cache keys.
-    _KEY_EXCLUDE: ClassVar[tuple[str, ...]] = ("replay",)
 
     def __post_init__(self) -> None:
         if self.mode not in PROTECTION_MODES:
@@ -358,8 +349,8 @@ class ProtectionPolicy:
     # -- factories ---------------------------------------------------
 
     @classmethod
-    def full(cls, replay: bool = True) -> "ProtectionPolicy":
-        return cls(mode="full", replay=replay)
+    def full(cls) -> "ProtectionPolicy":
+        return cls(mode="full")
 
     @classmethod
     def little_mute(cls, mute_width: int = 2) -> "ProtectionPolicy":
@@ -560,20 +551,14 @@ def apply_env_coherence(
     )
 
 
-def resolve_pair_policies(
-    config: SystemConfig, execution: str = "dual"
-) -> tuple[ProtectionPolicy, ...]:
+def resolve_pair_policies(config: SystemConfig) -> tuple[ProtectionPolicy, ...]:
     """The effective per-pair policies of ``config``.
 
-    Explicit ``pair_policies`` win; otherwise every pair is ``full``
-    with the replay bit mirroring the requested execution strategy
-    (``execution="replay"`` ≡ ``ProtectionPolicy.full(replay=True)``,
-    the legacy-knob equivalence the API redesign pivots on).
+    Explicit ``pair_policies`` win; otherwise every pair is ``full``.
     """
     if config.pair_policies is not None:
         return config.pair_policies
-    default = ProtectionPolicy(mode="full", replay=(execution == "replay"))
-    return (default,) * config.n_logical
+    return (ProtectionPolicy.full(),) * config.n_logical
 
 
 def partial_protection_modes(config: SystemConfig) -> tuple[str, ...]:

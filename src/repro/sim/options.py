@@ -1,20 +1,15 @@
 """SimOptions: the one place simulation-run knobs are resolved.
 
-Historically every knob arrived by a different route: ``kernel`` and
-``execution`` were :class:`~repro.sim.cmp.CMPSystem` keyword arguments
-with ``REPRO_KERNEL`` / ``REPRO_EXEC`` fallbacks read inside the
-constructor, the run-length bound was a ``run_until_idle`` parameter,
-and there was no telemetry switch at all.  :class:`SimOptions` collects
-them into one frozen object with a single environment resolver,
-:meth:`SimOptions.from_env`, so CLI commands, the experiment harness and
-tests all agree on what a "default" run is.
+:class:`SimOptions` is one frozen object with a single environment
+resolver, :meth:`SimOptions.from_env`, so CLI commands, the experiment
+harness and tests all agree on what a "default" run is.
 
 Field semantics:
 
-* ``kernel`` / ``execution`` select *how* the simulation is computed,
-  never *what* it computes — both carry a bit-identity contract (see
-  docs/ARCHITECTURE.md, "Simulation kernel" and "Execution modes")
-  enforced by differential tests and every ``repro bench`` run.
+* ``kernel`` selects *how* the simulation is computed, never *what* it
+  computes — it carries a bit-identity contract (see
+  docs/ARCHITECTURE.md, "Simulation kernel") enforced by differential
+  tests and every ``repro bench`` run.
 * ``trace`` arms the :mod:`repro.obs` telemetry subsystem.  Telemetry
   observes and never mutates, so it is likewise contracted to leave
   results bit-identical (enforced by ``tests/sim/test_telemetry.py`` and
@@ -22,19 +17,14 @@ Field semantics:
 * ``max_cycles`` bounds ``run_until_idle``; ``seed`` is the workload
   seed CLI commands thread through to program generation.
 
-Because every current field is result-neutral by contract (``seed``
-participates in results, but travels as its own explicit argument —
-:class:`~repro.exec.jobs.SampleJob` carries it as a first-class field),
-:func:`options_key_payload` deliberately contributes nothing to job
-content-hash keys.  If a future field *does* change results, it must be
-added there (and tested in ``tests/exec/test_jobs.py``).
-
-The memory-backend selector is the counter-example that proves the
-rule: ``REPRO_COHERENCE`` (shared / snoopy / directory) *does* change
-results, so it is resolved at config level —
-:func:`repro.sim.config.apply_env_coherence` rewrites the hashed
-:class:`~repro.sim.config.SystemConfig` itself — and never appears
-here.
+Every field is therefore result-neutral for a job (``seed`` participates
+in results, but :class:`~repro.exec.jobs.SampleJob` carries it as its
+own field), so no option contributes to job content-hash keys.  A field
+that *does* change results belongs in the hashed
+:class:`~repro.sim.config.SystemConfig` instead.  The memory-backend
+selector is the example: ``REPRO_COHERENCE`` (shared / snoopy /
+directory) changes results, so :func:`repro.sim.config.apply_env_coherence`
+rewrites the config itself and it never appears here.
 """
 
 from __future__ import annotations
@@ -51,13 +41,12 @@ from typing import Any, Mapping
 #: * ``metrics`` — per-interval time series only (no event records).
 #: * ``events``  — ring-buffered records of the rare, load-bearing
 #:   events (fingerprint comparisons, recoveries, synchronizing and
-#:   phantom requests, mirror windows, fault injections).
+#:   phantom requests, fault injections).
 #: * ``full``    — adds the high-frequency diagnostics (per-interval
 #:   fingerprint closes, cache evictions / dropped mute writebacks).
 TRACE_LEVELS = ("off", "metrics", "events", "full")
 
 _KERNELS = ("event", "naive")
-_EXECUTIONS = ("replay", "dual")
 
 
 @dataclass(frozen=True)
@@ -66,13 +55,12 @@ class SimOptions:
 
     :class:`~repro.sim.config.SystemConfig` describes the simulated
     *machine*; ``SimOptions`` describes the *simulation* of it — which
-    kernel computes it, whether the mute replays, how much telemetry to
-    record, how long to run.  Frozen and hashable, so it can ride along
-    in job descriptors and across process boundaries.
+    kernel computes it, how much telemetry to record, how long to run.
+    Frozen and hashable, so it can ride along in job descriptors and
+    across process boundaries.
     """
 
     kernel: str = "event"
-    execution: str = "replay"
     trace: str = "off"
     trace_capacity: int = 65_536  # event ring-buffer size (records)
     max_cycles: int = 1_000_000  # run_until_idle bound
@@ -82,10 +70,6 @@ class SimOptions:
         if self.kernel not in _KERNELS:
             raise ValueError(
                 f"unknown simulation kernel {self.kernel!r}; use 'event' or 'naive'"
-            )
-        if self.execution not in _EXECUTIONS:
-            raise ValueError(
-                f"unknown execution mode {self.execution!r}; use 'replay' or 'dual'"
             )
         if self.trace not in TRACE_LEVELS:
             raise ValueError(
@@ -109,12 +93,11 @@ class SimOptions:
     ) -> "SimOptions":
         """Resolve options from the environment, explicit values winning.
 
-        The *only* place ``REPRO_KERNEL`` / ``REPRO_EXEC`` /
-        ``REPRO_TRACE`` / ``REPRO_TRACE_CAPACITY`` are consulted.
-        ``overrides`` mirror the dataclass fields; ``None`` values mean
-        "not specified" and fall through to the environment (and from
-        there to the field default), so argparse results can be passed
-        straight in.
+        The *only* place ``REPRO_KERNEL`` / ``REPRO_TRACE`` /
+        ``REPRO_TRACE_CAPACITY`` are consulted.  ``overrides`` mirror
+        the dataclass fields; ``None`` values mean "not specified" and
+        fall through to the environment (and from there to the field
+        default), so argparse results can be passed straight in.
         """
         if env is None:
             env = os.environ
@@ -123,7 +106,6 @@ class SimOptions:
         # REPRO_COHERENCE in repro.sim.config.
         values: dict[str, Any] = {
             "kernel": env.get("REPRO_KERNEL") or cls.kernel,
-            "execution": env.get("REPRO_EXEC") or cls.execution,
             "trace": env.get("REPRO_TRACE") or cls.trace,
         }
         capacity = env.get("REPRO_TRACE_CAPACITY", "").strip()
@@ -133,23 +115,3 @@ class SimOptions:
             {name: value for name, value in overrides.items() if value is not None}
         )
         return cls(**values)
-
-
-def options_key_payload(options: SimOptions | None) -> dict[str, Any]:
-    """The result-affecting projection of ``options`` for job hashing.
-
-    Telemetry is excluded *by design* (it must never change results —
-    ``tests/exec/test_jobs.py`` pins this), and ``kernel`` /
-    ``execution`` are excluded by their bit-identity contracts: a sample
-    is the same sample however it was computed, so a cache populated
-    under ``REPRO_EXEC=dual`` serves ``replay`` runs, and vice versa.
-    The result-affecting policy axis is
-    :attr:`~repro.sim.config.SystemConfig.pair_policies`, which is
-    hashed via :func:`~repro.exec.jobs.config_payload`.
-    ``max_cycles`` and ``seed`` are not consumed by
-    :func:`~repro.sim.sampling.run_sample` (windows and seed are
-    explicit :class:`~repro.exec.jobs.SampleJob` fields).  The payload
-    is therefore empty today; any future result-affecting option MUST
-    be added here, with a key-change test.
-    """
-    return {}

@@ -103,7 +103,7 @@ def run_sample_system(
     The system gives callers access to post-run diagnostics — notably
     armed telemetry (``system.obs``) for ``repro trace``.  The sample is
     bit-identical to :func:`run_sample`'s regardless of ``options``
-    (kernel/execution/telemetry are all result-neutral by contract).
+    (kernel and telemetry are both result-neutral by contract).
     """
     programs, schedules = _generated(workload, config.n_logical, seed)
     system = CMPSystem(config, programs, schedules, options=options)

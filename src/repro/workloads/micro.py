@@ -16,9 +16,8 @@ one mechanism at a time — the way an architect would probe a design:
   opportunities for the mute caches.
 * :class:`ComputeKernel` — a dense ALU/branch loop with no memory
   accesses at all: the pure-compute pole of the workload space, where
-  redundant execution's cost is all pipeline simulation (the best case
-  for the replay fast path's mirror window, the worst for cycle
-  skipping).
+  redundant execution's cost is all pipeline simulation (the worst
+  case for cycle skipping).
 """
 
 from __future__ import annotations
@@ -157,8 +156,7 @@ class ComputeKernel(Workload):
 
     Every instruction is register-to-register, so a Reunion pair's cores
     never interact with the memory system: the workload isolates the raw
-    cost of simulating redundant pipelines (and is therefore the
-    benchmark artifact for the mute-mirror fast path).
+    cost of simulating redundant pipelines.
     """
 
     name = "compute-kernel"

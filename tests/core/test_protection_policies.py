@@ -20,7 +20,6 @@ from repro.sim.config import (
     apply_env_coherence,
     parse_policy,
 )
-from repro.sim.options import SimOptions
 from tests.core.helpers import SMALL
 
 LOOPY = """
@@ -49,15 +48,14 @@ loop:
 """
 
 
-def _build(sources, policy=None, fingerprint_interval=4, **options_kwargs):
+def _build(sources, policy=None, fingerprint_interval=4):
     programs = [assemble(source) for source in sources]
     config = SMALL.replace(n_logical=len(programs)).with_redundancy(
         mode=Mode.REUNION, fingerprint_interval=fingerprint_interval
     )
     if policy is not None:
         config = config.with_protection(policy)
-    options = SimOptions(**options_kwargs) if options_kwargs else None
-    return CMPSystem(config, programs, options=options)
+    return CMPSystem(config, programs)
 
 
 def assert_golden(system, source, logical=0):
@@ -71,15 +69,10 @@ def assert_golden(system, source, logical=0):
 class TestFullPolicyBitIdentity:
     """An explicit ``full`` policy is the absent-policy path, bit for bit."""
 
-    @pytest.mark.parametrize("execution", ["replay", "dual"])
-    def test_identical_to_policy_free_run(self, execution):
-        bare = _build([LOOPY], execution=execution)
+    def test_identical_to_policy_free_run(self):
+        bare = _build([LOOPY])
         bare_cycles = bare.run_until_idle()
-        explicit = _build(
-            [LOOPY],
-            policy=ProtectionPolicy.full(replay=(execution == "replay")),
-            execution=execution,
-        )
+        explicit = _build([LOOPY], policy=ProtectionPolicy.full())
         explicit_cycles = explicit.run_until_idle()
         assert explicit_cycles == bare_cycles
         assert explicit.vocal_cores[0].arf == bare.vocal_cores[0].arf
@@ -156,7 +149,7 @@ class TestUnprotected:
         assert not system.failed
         assert_golden(system, LOOPY)
         mute = system.cores[1]
-        assert mute.mirror_passive
+        assert mute.parked
         assert mute.user_retired == 0
         assert mute.total_retired == 0
 

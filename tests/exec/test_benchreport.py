@@ -103,11 +103,8 @@ class TestGateKinds:
         [
             ("phase", "table3", "cycles_per_s", 1.0, "below baseline"),
             ("kernel", "em3d/reunion", "identical", False, "is false"),
-            ("exec", "compute-kernel/reunion", "identical", False, "is false"),
-            ("exec", "mem-chase/reunion", "speedup", 0.9, "below the 0.95 floor"),
             ("telemetry", "mem-chase/reunion", "identical", False, "is false"),
             ("telemetry", "mem-chase/reunion", "overhead", 1.2, "exceeds the 1.1 budget"),
-            ("directory", "mem-chase/4-pair-dir", "mirror_cycles", 0, "below the 1 floor"),
             ("protection", "full", "cycles_per_s", 1.0, "below baseline"),
             ("protection", "full", "sim_ipc", 3.0, "interval-sampled:0.5 sim_ipc"),
             ("retire-gate", "strict-check", "ops_per_s", 1.0, "below baseline"),
@@ -124,6 +121,16 @@ class TestGateKinds:
         assert len(problems) == 1
         assert expected in problems[0]
         assert name in problems[0]
+
+    def test_min_gate_on_a_synthetic_row(self):
+        # No committed scenario carries a ``min:B`` gate; the kind stays
+        # enforced for the rows that will.
+        report = make_report()
+        report.rows.append(Row("phase", "fig5", "samples", 0, "count", "min:1"))
+        problems = check_regression(report, make_report())
+        assert problems == ["phase/fig5: samples 0.000 is below the 1 floor"]
+        report.rows[-1].value = 1
+        assert check_regression(report, make_report()) == []
 
     def test_unknown_gate_rejected(self):
         report = make_report()

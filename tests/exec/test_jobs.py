@@ -42,15 +42,14 @@ class TestKey:
 
     def test_options_never_change_key(self):
         # Every SimOptions field is result-neutral by contract, so a
-        # cache populated with telemetry off (or under the other kernel
-        # or execution strategy) serves armed runs.  This also pins the
-        # legacy property that pre-options cache keys stay valid: the
-        # payload gains no "options" entry at all.
+        # cache populated with telemetry off (or under the other kernel)
+        # serves armed runs.  This also pins the legacy property that
+        # pre-options cache keys stay valid: the payload gains no
+        # "options" entry at all.
         base = job()
         armed = job(
             options=SimOptions(
                 kernel="naive",
-                execution="dual",
                 trace="full",
                 trace_capacity=16,
                 max_cycles=777,

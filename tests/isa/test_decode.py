@@ -27,7 +27,6 @@ from repro.isa.decode import (
     F_NEEDS2,
     F_SER,
     F_STORE,
-    F_WINDOW_END,
     F_WRITES,
     DecodedProgram,
     decode_program,
@@ -74,9 +73,6 @@ def test_flags_match_instruction_predicates(sc_mode: bool) -> None:
         assert bool(f & F_MUL) == (op is Op.MUL), inst
         assert bool(f & F_SER) == (
             inst.is_serializing or (sc_mode and inst.is_store)
-        ), inst
-        assert bool(f & F_WINDOW_END) == (
-            inst.is_mem or inst.is_serializing or op is Op.HALT
         ), inst
 
 

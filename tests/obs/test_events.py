@@ -6,10 +6,6 @@ from repro.obs.events import (
     Event,
     EventLog,
     K_FP_COMPARE,
-    K_MIRROR_CLOSE,
-    K_MIRROR_MATERIALIZE,
-    K_MIRROR_OPEN,
-    STRATEGY_KINDS,
     Telemetry,
 )
 
@@ -113,11 +109,3 @@ class TestCycleStamping:
         # A below-timing-layer emission must not advance the clock.
         assert telemetry.last_cycle == 77
 
-
-class TestStrategyKinds:
-    def test_mirror_kinds_are_strategy_only(self):
-        assert STRATEGY_KINDS == {
-            K_MIRROR_OPEN,
-            K_MIRROR_CLOSE,
-            K_MIRROR_MATERIALIZE,
-        }

@@ -18,9 +18,9 @@ class FakeSystem:
 def _armed() -> Telemetry:
     """A telemetry object with one of everything the exporters handle."""
     telemetry = Telemetry(level="events")
-    telemetry.emit("mirror.open", 0, "pair0", start_index=0)
+    telemetry.emit("sync.request", 0, "pair0", pc=4, addr=0x900, op="ATOMIC")
     telemetry.emit("fingerprint.compare", 90, "pair0", index=5, matched=True)
-    telemetry.emit("mirror.close", 100, "pair0", cause="serializing")
+    telemetry.emit("fingerprint.mismatch", 100, "pair0", index=6, cause="count")
     telemetry.emit("recovery.start", 120, "pair0", phase=1, cause="mismatch")
     telemetry.emit("phantom.read", 130, "l2", core=1, strength="global")
     telemetry.emit("recovery.resume", 170, "pair0", phase=1)
@@ -35,7 +35,7 @@ class TestJsonl:
         # 6 events + 1 metrics row + 1 summary trailer.
         assert len(lines) == 8
         kinds = [line["kind"] for line in lines]
-        assert kinds[0] == "mirror.open"
+        assert kinds[0] == "sync.request"
         assert "metrics.sample" in kinds
         assert kinds[-1] == "summary"
 
@@ -61,10 +61,9 @@ class TestChromeTrace:
     def test_duration_pairing(self):
         trace = chrome_trace(_armed())["traceEvents"]
         slices = {e["name"]: e for e in trace if e["ph"] == "X"}
-        # mirror.open@0 .. mirror.close@100 and recovery.start@120 ..
-        # recovery.resume@170 fold into duration slices.
-        assert slices["mirror-window"]["ts"] == 0
-        assert slices["mirror-window"]["dur"] == 100
+        # recovery.start@120 .. recovery.resume@170 folds into a
+        # duration slice; nothing else pairs up.
+        assert set(slices) == {"recovery"}
         assert slices["recovery"]["ts"] == 120
         assert slices["recovery"]["dur"] == 50
         # Open + close payloads merge into the slice args.
@@ -73,11 +72,11 @@ class TestChromeTrace:
     def test_unpaired_open_and_close_become_instants(self):
         telemetry = Telemetry(level="events")
         telemetry.emit("recovery.resume", 10, "pair0")  # close without start
-        telemetry.emit("mirror.open", 20, "pair0")  # start without close
+        telemetry.emit("recovery.start", 20, "pair0")  # start without close
         instants = {
             e["name"] for e in chrome_trace(telemetry)["traceEvents"] if e["ph"] == "i"
         }
-        assert instants == {"recovery.resume", "mirror.open"}
+        assert instants == {"recovery.resume", "recovery.start"}
 
     def test_thread_metadata_per_source(self):
         trace = chrome_trace(_armed(), process_name="unit")["traceEvents"]

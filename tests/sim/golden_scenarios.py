@@ -4,9 +4,8 @@ Each scenario builds and drives one :class:`~repro.sim.cmp.CMPSystem`
 under explicit :class:`~repro.sim.options.SimOptions` and a config that
 no ``REPRO_*`` variable can retarget, so a digest means the same thing
 on every CI leg.  :func:`digest` reduces a finished run to what the
-equivalence contract covers: the ``_observe`` dict of
-``tests/sim/test_replay_exec.py`` plus, per vocal core, the SHA-256 of
-its user commit stream (:class:`CommitProbe`).
+equivalence contract covers: the :func:`_observe` dict plus, per vocal
+core, the SHA-256 of its user commit stream (:class:`CommitProbe`).
 
 ``tests/sim/record_goldens.py`` writes the digests to
 ``tests/sim/goldens/``; ``tests/sim/test_hotloop.py`` replays them.
@@ -20,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.check_stage import CheckGate
 from repro.core.faults import FaultInjector
 from repro.exec.jobs import resolve_workload
 from repro.isa import assemble
@@ -46,7 +46,24 @@ from repro.sim.options import SimOptions
 from repro.workloads.base import hashed_schedule
 from repro.workloads.micro import MICRO_BASE, PointerChase
 from tests.pipeline.test_differential_random import seeded_random_program
-from tests.sim.test_replay_exec import MIXED, _observe
+
+#: Mixed compute: dependent ALU work, stores, loads, a serializing
+#: atomic, branches — every kind of update word a fingerprint hashes.
+MIXED = """
+    movi r1, 40
+    movi r2, 0
+    movi r3, 0x400
+    movi r6, 0x900
+loop:
+    add r2, r2, r1
+    store r2, [r3]
+    load r4, [r3]
+    atomic r5, [r6], r1
+    addi r3, r3, 8
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+"""
 
 #: ``tests.core.helpers.SMALL`` without the REPRO_COHERENCE retargeting.
 BASE = SystemConfig(
@@ -91,7 +108,6 @@ class Scenario:
 
     name: str
     kernel: str
-    execution: str
     build: Callable[[SimOptions], CMPSystem]
     drive: Callable[[CMPSystem], None]
     #: Asserts that the run reached the paths it exists to cover, so a
@@ -127,24 +143,24 @@ def _recovered(system: CMPSystem) -> None:
 
 
 def loop_scenarios() -> list[Scenario]:
-    """MIXED and CHASE across the full kernel x execution matrix."""
+    """MIXED and CHASE under both kernels.
+
+    The ``dual-`` in their names is part of the recorded digest keys.
+    """
     mixed = assemble(MIXED)
     chase = CHASE.programs(1, seed=3)[0]
     out = []
-    for execution in ("dual", "replay"):
-        for kernel in ("naive", "event"):
-            out.append(
-                Scenario(
-                    f"mixed/{execution}-{kernel}", kernel, execution,
-                    _pair_system(mixed), _until_idle,
-                )
+    for kernel in ("naive", "event"):
+        out.append(
+            Scenario(
+                f"mixed/dual-{kernel}", kernel, _pair_system(mixed), _until_idle
             )
-            out.append(
-                Scenario(
-                    f"chase/{execution}-{kernel}", kernel, execution,
-                    _pair_system(chase), _for(30_000),
-                )
+        )
+        out.append(
+            Scenario(
+                f"chase/dual-{kernel}", kernel, _pair_system(chase), _for(30_000)
             )
+        )
     return out
 
 
@@ -153,7 +169,7 @@ def fault_scenarios() -> list[Scenario]:
     mixed = assemble(MIXED)
     return [
         Scenario(
-            f"fault/{target}", "event", "dual",
+            f"fault/{target}", "event",
             _pair_system(mixed, fault=(40, 11, target)), _until_idle, _recovered,
         )
         for target in FAULT_TARGETS
@@ -176,7 +192,7 @@ def random_scenarios() -> list[Scenario]:
     """Seeded random programs (tests/pipeline's generator) with fault plans."""
     return [
         Scenario(
-            f"random/{seed}", "event", "dual",
+            f"random/{seed}", "event",
             _pair_system(seeded_random_program(seed), fault=random_fault_plan(seed)),
             _until_idle,
         )
@@ -247,7 +263,7 @@ def coldpath_scenarios() -> list[Scenario]:
         itlb = hashed_schedule(rate_per_kinstr=rng.choice([10.0, 25.0]), seed=seed)
         interval = rng.choice([1, 4, 8])
         kernel = rng.choice(["naive", "event"])
-        execution = rng.choice(["dual", "replay"])
+        rng.choice((0, 1))  # keeps the later draws of the recorded plans
         interrupt_at = rng.randrange(2_000, 8_000)
         fault = (
             rng.randrange(25, 60),
@@ -262,7 +278,7 @@ def coldpath_scenarios() -> list[Scenario]:
 
         out.append(
             Scenario(
-                f"coldpath/{seed}", kernel, execution,
+                f"coldpath/{seed}", kernel,
                 _pair_system(program, fault, interval, itlb), drive,
                 _cold_paths_fired,
             )
@@ -297,7 +313,7 @@ def system_scenarios() -> list[Scenario]:
             kernel = "naive" if mode is Mode.STRICT else "event"
             out.append(
                 Scenario(
-                    f"system/{mode.name.lower()}-{coherence}", kernel, "replay",
+                    f"system/{mode.name.lower()}-{coherence}", kernel,
                     _workload_system(config, workload), _for(4_000),
                 )
             )
@@ -316,13 +332,13 @@ def system_scenarios() -> list[Scenario]:
         )
         out.append(
             Scenario(
-                f"system/{name}-{coherence}", "event", "dual",
+                f"system/{name}-{coherence}", "event",
                 _workload_system(config, "lock-contention"), _for(4_000),
             )
         )
     out.append(
         Scenario(
-            "system/manycore8-directory", "event", "replay",
+            "system/manycore8-directory", "event",
             _workload_system(MANYCORE_8, "DB2 OLTP"), _for(2_500),
         )
     )
@@ -381,24 +397,31 @@ def _probe(system: CMPSystem) -> list[CommitProbe]:
     return probes
 
 
-def digest(scenario: Scenario, **options) -> tuple[dict, CMPSystem]:
-    """Run ``scenario``; return its JSON-normal digest and the system.
+def _observe(system: CMPSystem) -> dict:
+    """Everything the equivalence contract covers, in one comparable dict."""
+    observation = {
+        "now": system.now,
+        "stats": dict(system.collect_stats().snapshot()),
+        "arf": [
+            [core.arf.read(reg) for reg in range(8)] for core in system.cores
+        ],
+        "user_retired": [core.user_retired for core in system.cores],
+        "cycles": [core.cycles for core in system.cores],
+    }
+    for index, core in enumerate(system.cores):
+        gate = core.gate
+        if isinstance(gate, CheckGate):
+            observation[f"gate{index}.intervals_closed"] = gate.intervals_closed
+            observation[f"gate{index}.fingerprints_compared"] = gate.fingerprints_compared
+    observation["recovery_log"] = [pair.recovery_log for pair in system.pairs]
+    return observation
 
-    A retire observer closes mirror windows, so when a pair mirrors the
-    commit streams come from a second, probed run; otherwise the probes
-    ride along on the observed run itself.
-    """
-    sim_options = SimOptions(
-        kernel=scenario.kernel, execution=scenario.execution, **options
-    )
-    system = scenario.build(sim_options)
-    mirrors = any(pair.replay_enabled for pair in system.pairs)
-    probes = None if mirrors else _probe(system)
+
+def digest(scenario: Scenario, **options) -> tuple[dict, CMPSystem]:
+    """Run ``scenario``; return its JSON-normal digest and the system."""
+    system = scenario.build(SimOptions(kernel=scenario.kernel, **options))
+    probes = _probe(system)
     scenario.drive(system)
-    if probes is None:
-        probed = scenario.build(sim_options)
-        probes = _probe(probed)
-        scenario.drive(probed)
     record = {
         "observe": _observe(system),
         "commits": [[probe.count, probe.signature()] for probe in probes],

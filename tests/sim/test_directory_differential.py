@@ -10,8 +10,7 @@ cycles, architectural state, recovery counts, and the full Stats
 snapshot (modulo the backends' own ``bus.*`` / ``dir.*`` counters,
 which must agree pairwise under the name mapping below).
 
-Runs cover both kernels, both execution strategies, and fault-injected
-runs — any timing or protocol divergence between the backends shows up
+Runs cover both kernels and fault-injected runs — any timing or protocol divergence between the backends shows up
 as a diff here long before it would corrupt a paper figure.
 """
 
@@ -68,7 +67,7 @@ DEGENERATE_CONFIG = SMALL.replace(
 )
 
 
-def _observe(base, kernel, execution, inject):
+def _observe(base, kernel, inject):
     """Run the 2-pair Figure 1 race; return everything comparable."""
     config = base.replace(n_logical=2).with_redundancy(
         mode=Mode.REUNION, comparison_latency=10
@@ -76,7 +75,7 @@ def _observe(base, kernel, execution, inject):
     system = CMPSystem(
         config,
         [assemble(Race.READER), assemble(Race.WRITER)],
-        options=SimOptions(kernel=kernel, execution=execution),
+        options=SimOptions(kernel=kernel),
     )
     if inject:
         injector = FaultInjector(seed=7)
@@ -105,12 +104,11 @@ def _observe(base, kernel, execution, inject):
 
 
 @pytest.mark.parametrize("kernel", ["naive", "event"])
-@pytest.mark.parametrize("execution", ["dual", "replay"])
 @pytest.mark.parametrize("inject", [False, True])
 class TestDegenerateBitIdentity:
-    def test_race_is_bit_identical(self, kernel, execution, inject):
-        snoopy = _observe(SNOOPY_CONFIG, kernel, execution, inject)
-        direct = _observe(DEGENERATE_CONFIG, kernel, execution, inject)
+    def test_race_is_bit_identical(self, kernel, inject):
+        snoopy = _observe(SNOOPY_CONFIG, kernel, inject)
+        direct = _observe(DEGENERATE_CONFIG, kernel, inject)
 
         assert snoopy[0] == direct[0], "cycle counts diverged"
         assert snoopy[1] == direct[1], "architectural stats diverged"
@@ -129,7 +127,7 @@ class TestDegenerateCoverage:
         """The differential workload is only meaningful if it actually
         drives forwards, invalidations, sync requests and recoveries."""
         *_, fabric, _, recoveries, failed = _observe(
-            DEGENERATE_CONFIG, "event", "dual", inject=False
+            DEGENERATE_CONFIG, "event", inject=False
         )
         assert not failed
         assert fabric.get("dir.sync_requests", 0) >= 1
@@ -139,7 +137,7 @@ class TestDegenerateCoverage:
 
     def test_injected_fault_is_contained_on_both_backends(self):
         for base in (SNOOPY_CONFIG, DEGENERATE_CONFIG):
-            *_, registers, _, failed = _observe(base, "event", "dual", True)
+            *_, registers, _, failed = _observe(base, "event", True)
             assert not failed
             assert registers[0][3] == 77  # reader still saw the payload
 

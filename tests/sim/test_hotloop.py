@@ -11,8 +11,8 @@ a behaviour change of the pipeline, never noise: regenerate the file
 (``python -m tests.sim.record_goldens``) only together with the change
 that explains it.
 
-The scenarios cover the kernel x execution matrix (MIXED and a
-memory-bound pointer chase), periodic fault recovery per fault target, a
+The scenarios cover both kernels (MIXED and a memory-bound pointer
+chase), periodic fault recovery per fault target, a
 seeded corpus of random programs with fault plans, a cold-path fuzz that
 forces squashes, TLB traps, an interrupt and recoveries in one run, and a
 system matrix spanning every redundancy mode, coherence backend and
@@ -63,16 +63,15 @@ def test_goldens_cover_every_scenario():
     assert set(GOLDENS) == set(SCENARIOS)
 
 
-@pytest.mark.parametrize("kernel", ["naive", "event"])
-@pytest.mark.parametrize("execution", ["dual", "replay"])
+@pytest.mark.parametrize("variant", ["dual-naive", "dual-event"])
 class TestHotLoopEquivalence:
-    """Curated scenarios across the full kernel x execution matrix."""
+    """Curated scenarios under both kernels (``dual-<kernel>`` digests)."""
 
-    def test_mixed_workload(self, kernel, execution):
-        _check(f"mixed/{execution}-{kernel}")
+    def test_mixed_workload(self, variant):
+        _check(f"mixed/{variant}")
 
-    def test_memory_bound_workload(self, kernel, execution):
-        _check(f"chase/{execution}-{kernel}")
+    def test_memory_bound_workload(self, variant):
+        _check(f"chase/{variant}")
 
 
 @pytest.mark.parametrize("target", FAULT_TARGETS)

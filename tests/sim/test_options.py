@@ -7,7 +7,7 @@ import pytest
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode
-from repro.sim.options import SimOptions, TRACE_LEVELS, options_key_payload
+from repro.sim.options import SimOptions, TRACE_LEVELS
 from tests.core.helpers import SMALL
 
 PROG = """
@@ -28,7 +28,6 @@ class TestValidation:
     def test_defaults_are_valid(self):
         options = SimOptions()
         assert options.kernel == "event"
-        assert options.execution == "replay"
         assert options.trace == "off"
         assert not options.telemetry_armed
 
@@ -39,8 +38,6 @@ class TestValidation:
     def test_rejects_unknown_values(self):
         with pytest.raises(ValueError, match="kernel"):
             SimOptions(kernel="quantum")
-        with pytest.raises(ValueError, match="execution"):
-            SimOptions(execution="triple")
         with pytest.raises(ValueError, match="trace"):
             SimOptions(trace="verbose")
         with pytest.raises(ValueError, match="capacity"):
@@ -55,25 +52,20 @@ class TestValidation:
 
 class TestFromEnv:
     def test_env_beats_defaults(self):
-        env = {"REPRO_KERNEL": "naive", "REPRO_EXEC": "dual", "REPRO_TRACE": "events"}
+        env = {"REPRO_KERNEL": "naive", "REPRO_TRACE": "events"}
         options = SimOptions.from_env(env)
-        assert (options.kernel, options.execution, options.trace) == (
-            "naive",
-            "dual",
-            "events",
-        )
+        assert (options.kernel, options.trace) == ("naive", "events")
 
     def test_explicit_overrides_beat_env(self):
-        env = {"REPRO_KERNEL": "naive", "REPRO_EXEC": "dual"}
+        env = {"REPRO_KERNEL": "naive", "REPRO_TRACE": "events"}
         options = SimOptions.from_env(env, kernel="event", trace="full")
         assert options.kernel == "event"
-        assert options.execution == "dual"
         assert options.trace == "full"
 
     def test_none_overrides_fall_through(self):
         # Argparse results pass straight in: unset flags arrive as None.
-        options = SimOptions.from_env({"REPRO_EXEC": "dual"}, execution=None)
-        assert options.execution == "dual"
+        options = SimOptions.from_env({"REPRO_KERNEL": "naive"}, kernel=None)
+        assert options.kernel == "naive"
 
     def test_capacity_parsed_from_env(self):
         assert SimOptions.from_env({"REPRO_TRACE_CAPACITY": "128"}).trace_capacity == 128
@@ -83,29 +75,10 @@ class TestFromEnv:
         assert SimOptions.from_env({}) == SimOptions()
 
 
-class TestKeyPayload:
-    def test_every_current_field_is_key_neutral(self):
-        assert options_key_payload(None) == {}
-        assert (
-            options_key_payload(
-                SimOptions(
-                    kernel="naive",
-                    execution="dual",
-                    trace="full",
-                    trace_capacity=8,
-                    max_cycles=99,
-                    seed=7,
-                )
-            )
-            == {}
-        )
-
-
 class TestCMPSystemOptions:
     def test_options_is_the_primary_path(self):
-        system = _system(options=SimOptions(kernel="naive", execution="dual"))
+        system = _system(options=SimOptions(kernel="naive"))
         assert system.kernel == "naive"
-        assert system.execution == "dual"
         assert system.options.trace == "off"
         assert system.obs is None
 
@@ -116,8 +89,8 @@ class TestCMPSystemOptions:
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
     def test_options_and_legacy_kwargs_conflict(self):
-        # The per-knob kwargs are gone: kernel/execution travel only
-        # inside SimOptions.
+        # The per-knob kwargs are gone: the kernel travels only inside
+        # SimOptions, and there is no execution knob at all.
         with pytest.raises(TypeError, match="kernel"):
             _system(options=SimOptions(), kernel="naive")
         with pytest.raises(TypeError, match="execution"):
@@ -136,10 +109,8 @@ class TestCMPSystemOptions:
 class TestLegacyShim:
     def test_legacy_env_vars_still_work(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "naive")
-        monkeypatch.setenv("REPRO_EXEC", "dual")
         system = _system()
         assert system.kernel == "naive"
-        assert system.execution == "dual"
 
     def test_plain_construction_does_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:

@@ -3,10 +3,9 @@
 Behavioral tests (what each policy does to a running pair) live in
 tests/core/test_protection_policies.py; this module covers the API
 surface the redesign introduced: the frozen policy dataclass and its
-validation, the ``mode[:params]`` spec grammar, the
-per-pair policy resolution from ``execution``, and the cache-key
-contract (policies are result-affecting and hashed; the replay bit is
-result-neutral and excluded).
+validation, the ``mode[:params]`` spec grammar, the per-pair policy
+resolution, and the cache-key contract (policies are result-affecting
+and hashed; run options are not).
 """
 
 import pytest
@@ -152,12 +151,12 @@ class TestSpecGrammar:
 
 class TestOptionsUnification:
     def test_resolution_defaults_to_full_per_pair(self):
-        policies = resolve_pair_policies(REUNION.replace(n_logical=3), "replay")
-        assert policies == (ProtectionPolicy.full(replay=True),) * 3
+        policies = resolve_pair_policies(REUNION.replace(n_logical=3))
+        assert policies == (ProtectionPolicy.full(),) * 3
 
-    def test_explicit_policies_win_over_execution(self):
+    def test_explicit_policies_win(self):
         config = REUNION.with_protection(ProtectionPolicy.little_mute(2))
-        assert resolve_pair_policies(config, "replay") == config.pair_policies
+        assert resolve_pair_policies(config) == config.pair_policies
 
 
 class TestEnvOverride:
@@ -204,13 +203,6 @@ class TestCacheKeys:
         second = _job(REUNION.with_protection(ProtectionPolicy.interval_sampled(0.5)))
         assert first.key == second.key
 
-    def test_replay_bit_excluded_from_keys(self):
-        # replay picks between two bit-identical execution strategies,
-        # so it must never fragment the sample cache.
-        replay = _job(REUNION.with_protection(ProtectionPolicy.full(replay=True)))
-        dual = _job(REUNION.with_protection(ProtectionPolicy.full(replay=False)))
-        assert replay.key == dual.key
-
     def test_different_policies_different_keys(self):
         keys = {
             _job(REUNION.with_protection(parse_policy(spec))).key
@@ -226,5 +218,5 @@ class TestCacheKeys:
 
     def test_options_protection_never_touches_keys(self):
         bare = _job(REUNION)
-        armed = _job(REUNION, options=SimOptions(execution="dual"))
+        armed = _job(REUNION, options=SimOptions(kernel="naive", trace="events"))
         assert bare.key == armed.key

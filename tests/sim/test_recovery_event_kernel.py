@@ -1,16 +1,13 @@
 """Interrupt replication and single-step recovery under the event kernel.
 
-The cycle-skipping kernel is the default, and the replay fast path adds
-a second layer of skipped work (mirror windows) on top of it — so the
-two pair-level protocols with the most intricate timing, external
-interrupts (Section 4.3) and the single-step re-execution protocol
-(Section 4.2), get direct coverage here under every kernel/execution
-combination rather than relying on the naive kernel alone.
+The cycle-skipping kernel is the default, so the two pair-level
+protocols with the most intricate timing, external interrupts
+(Section 4.3) and the single-step re-execution protocol (Section 4.2),
+get direct coverage here under the event kernel and against the naive
+one rather than relying on the naive kernel alone.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.pair import PairState, default_interrupt_handler
 from repro.isa import assemble
@@ -20,9 +17,8 @@ from repro.sim.config import Mode, PhantomStrength
 from repro.sim.options import SimOptions
 from tests.core.helpers import SMALL
 
-#: Loadless loop: the replay fast path keeps its mirror window open for
-#: essentially the whole run, so an interrupt posted mid-run lands while
-#: the mute core is passive.
+#: Loadless loop: an interrupt posted mid-run lands in a steady stream
+#: of ALU work.
 COMPUTE = """
     movi r1, 800
     movi r2, 1
@@ -76,23 +72,17 @@ def _vocal_state(system: CMPSystem) -> dict:
     }
 
 
-@pytest.mark.parametrize("execution", ["dual", "replay"])
 class TestPostInterruptEventKernel:
-    def test_interrupt_mid_mirror_window(self, execution):
-        """Posting an interrupt while the mute is passive must end the
-        window: the handler is scheduled on two *real* cores and its
-        loads would break the symmetry argument anyway."""
+    def test_interrupt_mid_run(self):
+        """An interrupt posted mid-run is serviced once by both cores."""
         system = CMPSystem(
             _config(),
             [assemble(COMPUTE)],
-            options=SimOptions.from_env(kernel="event", execution=execution),
+            options=SimOptions.from_env(kernel="event"),
         )
         system.run(300)
         pair = system.pairs[0]
-        if execution == "replay":
-            assert pair._mirror_active
         target = pair.post_interrupt()
-        assert not pair._mirror_active
         # The chosen boundary is beyond both cores' retirement point.
         assert target > max(core.user_retired for core in system.cores)
         system.run_until_idle(max_cycles=500_000)
@@ -104,7 +94,7 @@ class TestPostInterruptEventKernel:
         assert target <= vocal.user_retired
         assert system.recoveries() == 0
 
-    def test_interrupt_timing_matches_naive_kernel(self, execution):
+    def test_interrupt_timing_matches_naive_kernel(self):
         """The event kernel must service the replicated interrupt at the
         same cycle and program point as per-cycle simulation."""
 
@@ -112,7 +102,7 @@ class TestPostInterruptEventKernel:
             system = CMPSystem(
                 _config(),
                 [assemble(COMPUTE)],
-                options=SimOptions.from_env(kernel=kernel, execution=execution),
+                options=SimOptions.from_env(kernel=kernel),
             )
             system.run(300)
             system.post_interrupt(0)
@@ -121,12 +111,12 @@ class TestPostInterruptEventKernel:
 
         assert _vocal_state(scenario("event")) == _vocal_state(scenario("naive"))
 
-    def test_interrupt_preserves_program_results(self, execution):
+    def test_interrupt_preserves_program_results(self):
         golden = golden_run(assemble(COMPUTE))
         system = CMPSystem(
             _config(),
             [assemble(COMPUTE)],
-            options=SimOptions.from_env(kernel="event", execution=execution),
+            options=SimOptions.from_env(kernel="event"),
         )
         system.run(300)
         system.post_interrupt(0)
@@ -138,13 +128,12 @@ class TestPostInterruptEventKernel:
         assert vocal.arf == system.cores[1].arf
 
 
-@pytest.mark.parametrize("execution", ["dual", "replay"])
 class TestSingleStepRecoveryEventKernel:
-    def _run_to_recovery(self, execution) -> CMPSystem:
+    def _run_to_recovery(self) -> CMPSystem:
         system = CMPSystem(
             _config(phantom=PhantomStrength.NULL),
             [assemble(INCOHERENT_THEN_SYNC)],
-            options=SimOptions.from_env(kernel="event", execution=execution),
+            options=SimOptions.from_env(kernel="event"),
         )
         pair = system.pairs[0]
         for _ in range(2_000):
@@ -153,8 +142,8 @@ class TestSingleStepRecoveryEventKernel:
                 break
         return system
 
-    def test_enters_and_exits_single_step(self, execution):
-        system = self._run_to_recovery(execution)
+    def test_enters_and_exits_single_step(self):
+        system = self._run_to_recovery()
         pair = system.pairs[0]
         assert pair.state is PairState.SINGLE_STEP
         # Both cores (and their gates) are in one-instruction-interval mode.
@@ -170,14 +159,14 @@ class TestSingleStepRecoveryEventKernel:
             assert not core.single_step
             assert not core.gate.single_step
 
-    def test_recovery_restores_correct_results(self, execution):
+    def test_recovery_restores_correct_results(self):
         """Phase-1 rollback + single-step must converge on the coherent
         (golden-interpreter) values despite the mute's stale fills."""
         golden = golden_run(assemble(INCOHERENT_THEN_SYNC))
         system = CMPSystem(
             _config(phantom=PhantomStrength.NULL),
             [assemble(INCOHERENT_THEN_SYNC)],
-            options=SimOptions.from_env(kernel="event", execution=execution),
+            options=SimOptions.from_env(kernel="event"),
         )
         system.run_until_idle(max_cycles=500_000)
         pair = system.pairs[0]
@@ -189,7 +178,7 @@ class TestSingleStepRecoveryEventKernel:
             assert vocal.arf.read(reg) == golden.registers.read(reg)
         assert vocal.arf == system.cores[1].arf
 
-    def test_recovery_timing_matches_naive_kernel(self, execution):
+    def test_recovery_timing_matches_naive_kernel(self):
         """Cycle-skipping may not move a recovery: same recovery log
         (cycle + phase), same end state as the per-cycle kernel."""
 
@@ -197,7 +186,7 @@ class TestSingleStepRecoveryEventKernel:
             system = CMPSystem(
                 _config(phantom=PhantomStrength.NULL),
                 [assemble(INCOHERENT_THEN_SYNC)],
-                options=SimOptions.from_env(kernel=kernel, execution=execution),
+                options=SimOptions.from_env(kernel=kernel),
             )
             system.run_until_idle(max_cycles=500_000)
             return system

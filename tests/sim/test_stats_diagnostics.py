@@ -3,9 +3,8 @@
 ``CMPSystem.collect_stats`` documents the contract this file enforces:
 every counter folded into :class:`~repro.sim.stats.Stats` must be
 bit-identical across simulation strategies (naive/event kernel,
-dual/replay execution, telemetry on/off), because the differential
-tests compare whole snapshots.  Diagnostics that *measure the strategy*
-— ``CMPSystem.steps``, ``pair.mirror_cycles``, ``core.replayed_binds``,
+telemetry on/off), because the differential tests compare whole
+snapshots.  Diagnostics that *measure the strategy* — ``CMPSystem.steps``,
 anything telemetry records — would differ between equivalent runs, so
 leaking any of them into Stats silently breaks every equivalence test.
 """
@@ -65,10 +64,3 @@ class TestNoDiagnosticLeaks:
         naive = _run(SimOptions(kernel="naive"))
         assert event.steps < naive.steps
         assert event.collect_stats().snapshot() == naive.collect_stats().snapshot()
-
-    def test_mirror_cycles_differ_but_stats_are_equal(self):
-        replay = _run(SimOptions(execution="replay"))
-        dual = _run(SimOptions(execution="dual"))
-        assert replay.pairs[0].mirror_cycles > 0
-        assert dual.pairs[0].mirror_cycles == 0
-        assert replay.collect_stats().snapshot() == dual.collect_stats().snapshot()

@@ -7,10 +7,8 @@ Two halves:
   off.  The sampler and emitters only ever read simulator state.
 * **Strategy independence** — the *event stream itself* describes the
   simulated machine, not the simulation strategy: a fault-injected run
-  under replay execution and under dual execution must emit identical
-  streams (order and payload), except for the mirror-window kinds in
-  :data:`~repro.obs.events.STRATEGY_KINDS`, which exist only under
-  replay by definition.
+  under the naive and the event kernel must emit identical streams
+  (order and payload).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import pytest
 
 from repro.core.faults import FaultInjector
 from repro.isa import assemble
-from repro.obs.events import STRATEGY_KINDS
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, PhantomStrength
 from repro.sim.options import SimOptions
@@ -100,43 +97,38 @@ class TestBitIdentity:
         assert all(pair.obs is None for pair in system.pairs)
 
 
-def _fault_stream(execution: str, kernel: str) -> tuple[list[dict], CMPSystem]:
+def _fault_stream(kernel: str) -> tuple[list[dict], CMPSystem]:
     system = CMPSystem(
         _config(),
         [assemble(MIXED)],
-        options=SimOptions(execution=execution, kernel=kernel, trace="events"),
+        options=SimOptions(kernel=kernel, trace="events"),
     )
     injector = FaultInjector(seed=7)
     injector.attach(system.cores[1])  # the mute
     injector.inject_once(after=40)
     system.run_until_idle(max_cycles=500_000)
-    stream = [
-        event.to_dict()
-        for event in system.obs.log
-        if event.kind not in STRATEGY_KINDS
-    ]
-    return stream, system
+    return [event.to_dict() for event in system.obs.log], system
 
 
-@pytest.mark.parametrize("kernel", ["naive", "event"])
-class TestReplayDualDifferential:
-    def test_fault_injected_streams_identical(self, kernel):
-        dual_stream, dual_system = _fault_stream("dual", kernel)
-        replay_stream, replay_system = _fault_stream("replay", kernel)
+class TestKernelIndependentStream:
+    def test_fault_injected_streams_identical(self):
+        naive_stream, naive_system = _fault_stream("naive")
+        event_stream, event_system = _fault_stream("event")
         # Order and payload, record for record (cycle stamps included).
-        assert dual_stream == replay_stream
-        assert _observe(dual_system) == _observe(replay_system)
+        assert naive_stream == event_stream
+        assert _observe(naive_system) == _observe(event_system)
 
-        kinds = {record["kind"] for record in dual_stream}
+        kinds = {record["kind"] for record in event_stream}
         assert "fault.inject" in kinds
         assert "fingerprint.mismatch" in kinds
         assert "recovery.start" in kinds
         assert "recovery.rollback" in kinds
         assert "recovery.resume" in kinds
-        assert dual_system.recoveries() >= 1
+        assert event_system.recoveries() >= 1
 
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
     def test_mismatch_records_carry_the_divergence(self, kernel):
-        stream, _ = _fault_stream("dual", kernel)
+        stream, _ = _fault_stream(kernel)
         mismatches = [r for r in stream if r["kind"] == "fingerprint.mismatch"]
         assert mismatches
         first = mismatches[0]

@@ -114,7 +114,7 @@ class TestReproduce:
 
 
 class TestTrace:
-    """``repro trace``: telemetry-armed replay of one sample."""
+    """``repro trace``: telemetry-armed re-run of one sample."""
 
     ARGS = [
         "trace", "pointer-chase", "--phantom", "null", "--cpus", "1",
@@ -123,9 +123,9 @@ class TestTrace:
 
     @pytest.fixture(autouse=True)
     def _full_protection(self, monkeypatch):
-        # The taxonomy below includes mirror windows, which only a
-        # full-policy (replay-eligible) pair emits — pin the policy so
-        # the REPRO_PROTECTION=little-mute CI leg doesn't retarget it.
+        # The taxonomy below is what a full-policy pair emits: pin the
+        # policy so the REPRO_PROTECTION=little-mute CI leg doesn't
+        # retarget it.
         monkeypatch.delenv("REPRO_PROTECTION", raising=False)
 
     def test_emits_the_event_taxonomy(self, capsys, monkeypatch, tmp_path):
@@ -140,10 +140,9 @@ class TestTrace:
         jsonl = (tmp_path / "TRACE_pointer-chase.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in jsonl]
         kinds = {record["kind"] for record in records}
-        # The acceptance taxonomy: comparisons, recoveries, mirror windows.
+        # The acceptance taxonomy: comparisons and recoveries.
         assert "fingerprint.compare" in kinds
         assert any(kind.startswith("recovery.") for kind in kinds)
-        assert any(kind.startswith("mirror.") for kind in kinds)
         assert records[-1]["kind"] == "summary"
 
         trace = json.loads((tmp_path / "TRACE_pointer-chase.trace.json").read_text())
