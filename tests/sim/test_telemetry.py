@@ -6,9 +6,10 @@ Two halves:
   exactly the same architectural results as the same run with telemetry
   off.  The sampler and emitters only ever read simulator state.
 * **Strategy independence** — the *event stream itself* describes the
-  simulated machine, not the simulation strategy: a fault-injected run
-  under the naive and the event kernel must emit identical streams
-  (order and payload).
+  simulated machine, not how it is simulated or observed: under either
+  kernel, a fault-injected run armed at ``full`` emits the ``events``
+  level's records unchanged (order and payload) around its diagnostics,
+  and the naive and the event kernel emit identical streams.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core.faults import FaultInjector
 from repro.isa import assemble
+from repro.obs import events as ev
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, PhantomStrength
 from repro.sim.options import SimOptions
@@ -97,11 +99,26 @@ class TestBitIdentity:
         assert all(pair.obs is None for pair in system.pairs)
 
 
-def _fault_stream(kernel: str) -> tuple[list[dict], CMPSystem]:
+#: Diagnostics only the ``full`` level emits.
+FULL_ONLY_KINDS = frozenset(
+    {
+        ev.K_FP_CLOSE,
+        ev.K_CACHE_EVICT,
+        ev.K_CACHE_WRITEBACK_DROP,
+        ev.K_DIR_GETS,
+        ev.K_DIR_GETM,
+        ev.K_DIR_INVAL,
+        ev.K_DIR_WRITEBACK,
+        ev.K_DIR_GRANT,
+    }
+)
+
+
+def _fault_stream(kernel: str, trace: str = "events") -> tuple[list[dict], CMPSystem]:
     system = CMPSystem(
         _config(),
         [assemble(MIXED)],
-        options=SimOptions(kernel=kernel, trace="events"),
+        options=SimOptions(kernel=kernel, trace=trace),
     )
     injector = FaultInjector(seed=7)
     injector.attach(system.cores[1])  # the mute
@@ -111,20 +128,34 @@ def _fault_stream(kernel: str) -> tuple[list[dict], CMPSystem]:
 
 
 class TestKernelIndependentStream:
-    def test_fault_injected_streams_identical(self):
-        naive_stream, naive_system = _fault_stream("naive")
-        event_stream, event_system = _fault_stream("event")
-        # Order and payload, record for record (cycle stamps included).
-        assert naive_stream == event_stream
-        assert _observe(naive_system) == _observe(event_system)
+    @pytest.mark.parametrize("kernel", ["naive", "event"])
+    def test_fault_injected_streams_identical(self, kernel):
+        events_stream, events_system = _fault_stream(kernel)
+        full_stream, full_system = _fault_stream(kernel, trace="full")
+        # Arming the diagnostics adds records but moves or alters none:
+        # order and payload, record for record (cycle stamps included).
+        diagnostics = [r for r in full_stream if r["kind"] in FULL_ONLY_KINDS]
+        assert diagnostics
+        assert [
+            r for r in full_stream if r["kind"] not in FULL_ONLY_KINDS
+        ] == events_stream
+        assert _observe(full_system) == _observe(events_system)
 
-        kinds = {record["kind"] for record in event_stream}
+        kinds = {record["kind"] for record in events_stream}
         assert "fault.inject" in kinds
         assert "fingerprint.mismatch" in kinds
         assert "recovery.start" in kinds
         assert "recovery.rollback" in kinds
         assert "recovery.resume" in kinds
-        assert event_system.recoveries() >= 1
+        assert events_system.recoveries() >= 1
+
+    def test_kernels_emit_identical_streams(self):
+        naive_stream, naive_system = _fault_stream("naive")
+        event_stream, event_system = _fault_stream("event")
+        # Order and payload, record for record (cycle stamps included).
+        assert naive_stream == event_stream
+        assert _observe(naive_system) == _observe(event_system)
+        assert any(r["kind"] == "fault.inject" for r in event_stream)
 
     @pytest.mark.parametrize("kernel", ["naive", "event"])
     def test_mismatch_records_carry_the_divergence(self, kernel):
